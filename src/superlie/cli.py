@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success (including a NotCovered classification), 1 mathematical
-invalidity, 2 parse failure, 64 unknown command / usage error.
+invalidity, 2 parse failure or unreadable input file, 64 unknown command /
+usage error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     ParseError,
     SuperlieError,
     UnknownName,
+    UnreadableInput,
 )
 from .fileformat import emit, parse
 from .invariants import report
@@ -40,7 +42,13 @@ commands:
   multiplier <file|--builtin NAME> [--json] [--cocycles]
   classify   <file|--builtin NAME> [--json]
   cover      <file|--builtin NAME>
-  verify-paper [--seed N] [--corpus-size K]
+  verify-paper [--seed N] [--corpus-size K]  (K >= 1)
+
+exit codes:
+  0   success (a NotCovered classification is still success)
+  1   mathematical invalidity (axiom failure, non-nilpotent input to classify)
+  2   parse error, or an input file that cannot be read
+  64  unknown command or usage error
 """
 
 
@@ -48,12 +56,21 @@ def _pair(p: SignedPair) -> list[int]:
     return [p.even, p.odd]
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc}") from None
+
+
 def _load(args):
     if args.builtin:
         return builtin(args.builtin)
     if not args.file:
         raise InvalidParams("either a file or --builtin NAME is required")
-    return parse(Path(args.file).read_text())
+    return parse(_read(args.file))
 
 
 def _add_source(sub):
@@ -86,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args) -> int:
     try:
-        parse(Path(args.file).read_text())
+        parse(_read(args.file))
     except ParseError as exc:
         print(f"parse error: {exc}")
         return 2
@@ -190,6 +207,10 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
+    if args.corpus_size < 1:
+        print("error: --corpus-size must be at least 1", file=sys.stderr)
+        print(USAGE, file=sys.stderr)
+        return 64
     results = run_paper_checks(seed=args.seed, corpus_size=args.corpus_size)
     ok = True
     for key, res in results.items():
@@ -218,6 +239,9 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
+    except UnreadableInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -53,9 +53,12 @@ class Cochain2:
     values: tuple[tuple[tuple[int, int], Fraction], ...]
 
     def __post_init__(self):
-        allowed = set(cochain_pairs(self.parent, self.parity))
+        # the membership test of cochain_pairs, without listing all O(d²) pairs
+        p = self.parent.parities
         for key, c in self.values:
-            if key not in allowed:
+            i, j = key
+            if (not 0 <= i <= j < len(p) or (i == j and p[i] == 0)
+                    or (p[i] + p[j]) % 2 != self.parity):
                 raise InvalidParams(f"coordinate {key} not free for a parity-{self.parity} cochain")
             if c == 0:
                 raise InvalidParams("cochain values must be normalized (no zeros)")
@@ -95,15 +98,19 @@ class Cochain2:
         return Cochain2.from_vector(self.parent, self.parity, vec)
 
 
-def _cocycle_rows(L: LieSuperalgebra, parity: int, pairs) -> list[Vec]:
-    """One linear constraint per basis triple with total degree π."""
-    col = {p: c for c, p in enumerate(pairs)}
+def _cochain(L: LieSuperalgebra, parity: int, pairs, row: linalg.Row) -> Cochain2:
+    """The cochain whose free coordinates are a sparse row over ``pairs``."""
+    return Cochain2(L, parity, tuple((pairs[c], x) for c, x in sorted(row.items())))
+
+
+def _cocycle_equations(L: LieSuperalgebra, parity: int, col):
+    """Yield one sparse linear constraint per basis triple with total degree
+    π, over the free coordinates numbered by ``col``."""
     p = L.parities
-    rows = []
     for i, j, k in itertools.combinations_with_replacement(range(L.dim), 3):
         if (p[i] + p[j] + p[k]) % 2 != parity:
             continue
-        row = [Fraction(0)] * len(pairs)
+        row: linalg.Row = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
             s = _sign(p[a], p[c])
             for m, cm in L.basis_bracket(a, b).items():
@@ -111,35 +118,45 @@ def _cocycle_rows(L: LieSuperalgebra, parity: int, pairs) -> list[Vec]:
                 if m == c and p[m] == 0:
                     continue
                 if m <= c:
-                    row[col[(m, c)]] += s * cm
+                    key, val = col[(m, c)], s * cm
                 else:
-                    row[col[(c, m)]] += -_sign(p[m], p[c]) * s * cm
-        if any(row):
-            rows.append(tuple(row))
-    return rows
+                    key, val = col[(c, m)], -_sign(p[m], p[c]) * s * cm
+                row[key] = row.get(key, 0) + val
+        if row:
+            yield row
+
+
+def _cocycle_basis(L: LieSuperalgebra, parity: int, col) -> list[linalg.Row]:
+    """Canonical echelon basis of the parity-π cocycles, as sparse rows."""
+    equations = linalg.Echelon(_cocycle_equations(L, parity, col))
+    return linalg.Echelon(equations.kernel_basis(len(col))).rows()
 
 
 def cocycle_space(L: LieSuperalgebra, parity: int) -> list[Cochain2]:
     """Canonical basis of the parity-π 2-cocycles."""
     pairs = cochain_pairs(L, parity)
-    kern = linalg.nullspace(_cocycle_rows(L, parity, pairs), len(pairs))
-    return [Cochain2.from_vector(L, parity, v) for v in kern]
+    col = {p: c for c, p in enumerate(pairs)}
+    return [_cochain(L, parity, pairs, r) for r in _cocycle_basis(L, parity, col)]
 
 
-def _coboundary_rows(L: LieSuperalgebra, parity: int, pairs) -> list[Vec]:
-    rows = []
-    for k in range(L.dim):
-        if L.parities[k] != parity:
-            continue
-        row = tuple(-L.basis_bracket(i, j).get(k, Fraction(0)) for (i, j) in pairs)
-        rows.append(row)
-    return linalg.rref(rows)
+def _coboundaries(L: LieSuperalgebra, parity: int, col) -> linalg.Echelon:
+    """Echelon of the coboundaries (x, y) -> -g([x, y]), one row per
+    parity-π coordinate functional g."""
+    rows: dict[int, linalg.Row] = {k: {} for k in range(L.dim) if L.parities[k] == parity}
+    for key, vec in L.constants:
+        c = col.get(key)
+        if c is not None:
+            # grading puts every k of a parity-π pair's bracket in ``rows``
+            for k, x in vec:
+                rows[k][c] = -x
+    return linalg.Echelon(rows.values())
 
 
 def coboundary_space(L: LieSuperalgebra, parity: int) -> list[Cochain2]:
     """Canonical basis of {(x,y) -> -g([x,y])} over parity-π functionals g."""
     pairs = cochain_pairs(L, parity)
-    return [Cochain2.from_vector(L, parity, v) for v in _coboundary_rows(L, parity, pairs)]
+    col = {p: c for c, p in enumerate(pairs)}
+    return [_cochain(L, parity, pairs, r) for r in _coboundaries(L, parity, col).rows()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,18 +173,16 @@ def multiplier(L: LieSuperalgebra) -> MultiplierResult:
     z_dims, b_dims, reps = [], [], []
     for parity in (0, 1):
         pairs = cochain_pairs(L, parity)
-        zbasis = linalg.nullspace(_cocycle_rows(L, parity, pairs), len(pairs))
-        bbasis = _coboundary_rows(L, parity, pairs)
+        col = {p: c for c, p in enumerate(pairs)}
+        zbasis = _cocycle_basis(L, parity, col)
+        # B² plus the representatives so far, in one growing echelon
+        acc = _coboundaries(L, parity, col)
         z_dims.append(len(zbasis))
-        b_dims.append(len(bbasis))
-        acc = list(bbasis)
+        b_dims.append(len(acc))
         for zv in zbasis:
-            resid = linalg.reduce_mod(zv, linalg.rref(acc))
-            if any(resid):
-                lead = next(x for x in resid if x != 0)
-                resid = linalg.vec_scale(Fraction(1) / lead, resid)
-                acc.append(resid)
-                reps.append(Cochain2.from_vector(L, parity, resid))
+            resid = acc.add(zv)
+            if resid is not None:
+                reps.append(_cochain(L, parity, pairs, resid))
     return MultiplierResult(
         sdim_Z2=SuperDim(z_dims[0], z_dims[1]),
         sdim_B2=SuperDim(b_dims[0], b_dims[1]),
@@ -204,11 +219,11 @@ def central_extension(L: LieSuperalgebra, chosen) -> CentralExtension:
         if f.parent != L:
             raise InvalidParams("cochain belongs to a different algebra")
     for parity in (0, 1):
-        pairs = cochain_pairs(L, parity)
-        bbasis = _coboundary_rows(L, parity, pairs)
-        vecs = [f.as_vector(pairs) for f in chosen if f.parity == parity]
-        if vecs and linalg.rank(list(bbasis) + vecs) != len(bbasis) + len(vecs):
-            raise DependentClasses("chosen classes are dependent modulo coboundaries")
+        col = {p: c for c, p in enumerate(cochain_pairs(L, parity))}
+        acc = _coboundaries(L, parity, col)
+        for f in chosen:
+            if f.parity == parity and acc.add({col[p]: c for p, c in f.values}) is None:
+                raise DependentClasses("chosen classes are dependent modulo coboundaries")
 
     even_new = [f for f in chosen if f.parity == 0]
     odd_new = [f for f in chosen if f.parity == 1]

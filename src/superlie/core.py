@@ -213,17 +213,15 @@ class Subspace:
         """Homogeneous span: each vector is split into its parity components.
 
         For the spans arising here (brackets of homogeneous elements, kernels
-        computed per parity) this is the plain linear span.
+        computed per parity) this is the plain linear span.  ``vectors`` may
+        be any iterable; it is consumed once.
         """
-        ev, od = [], []
+        ne = parent.n_even
+        ev, od = linalg.Echelon(), linalg.Echelon()
         for v in vectors:
-            ve = tuple(x if parent.parities[i] == 0 else Fraction(0) for i, x in enumerate(v))
-            vo = tuple(x if parent.parities[i] == 1 else Fraction(0) for i, x in enumerate(v))
-            if any(ve):
-                ev.append(ve)
-            if any(vo):
-                od.append(vo)
-        return cls(parent, tuple(linalg.rref(ev)), tuple(linalg.rref(od)))
+            ev.add({i: x for i, x in enumerate(v[:ne]) if x})
+            od.add({i: x for i, x in enumerate(v[ne:], ne) if x})
+        return cls(parent, tuple(ev.dense(parent.dim)), tuple(od.dense(parent.dim)))
 
     @classmethod
     def full(cls, parent: LieSuperalgebra) -> "Subspace":
@@ -309,8 +307,7 @@ def bracket_subspaces(L: LieSuperalgebra, U: Subspace, W: Subspace) -> Subspace:
     for S in (U, W):
         if S.parent is not L and S.parent != L:
             raise ParentMismatch("subspace does not belong to the algebra")
-    vectors = [L.bracket(u, w) for u in U.rows for w in W.rows]
-    return Subspace.span(L, vectors)
+    return Subspace.span(L, (L.bracket(u, w) for u in U.rows for w in W.rows))
 
 
 def derived_subalgebra(L: LieSuperalgebra) -> Subspace:
@@ -320,25 +317,27 @@ def derived_subalgebra(L: LieSuperalgebra) -> Subspace:
 
 def _ad_kernel(L: LieSuperalgebra, targets: list[Vec]) -> Subspace:
     """Per-parity kernel of x -> ([x, t] for t in targets)."""
-    rows_by_parity = {}
+    support = [[(j, tj) for j, tj in enumerate(t) if tj] for t in targets]
+    rows_by_parity = []
     for par in (0, 1):
         cols = [i for i in range(L.dim) if L.parities[i] == par]
-        if not cols:
-            rows_by_parity[par] = ()
-            continue
-        images = [[L.bracket(L.basis_vector(i), t) for t in targets] for i in cols]
-        eqs = []
-        for t_idx in range(len(targets)):
-            for k in range(L.dim):
-                eqs.append(tuple(images[c][t_idx][k] for c in range(len(cols))))
-        kern = linalg.nullspace(eqs, len(cols))
+        # one sparse equation per (target, coordinate k) of the bracket,
+        # over the coefficients of the parity-par basis elements
+        eqs: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for c, i in enumerate(cols):
+            for t_idx, terms in enumerate(support):
+                for j, tj in terms:
+                    for k, x in L.basis_bracket(i, j).items():
+                        row = eqs.setdefault((t_idx, k), {})
+                        row[c] = row.get(c, 0) + tj * x
+        # the kernel basis is not canonical yet; the rref of its embedding is
         rows = []
-        for coeffs in kern:
+        for coeffs in linalg.Echelon(eqs.values()).kernel_basis(len(cols)):
             v = [Fraction(0)] * L.dim
-            for c, i in enumerate(cols):
-                v[i] = coeffs[c]
+            for c, a in coeffs.items():
+                v[cols[c]] = a
             rows.append(tuple(v))
-        rows_by_parity[par] = tuple(linalg.rref(rows))
+        rows_by_parity.append(tuple(linalg.rref(rows)))
     return Subspace(L, rows_by_parity[0], rows_by_parity[1])
 
 

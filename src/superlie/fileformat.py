@@ -80,12 +80,18 @@ def parse(text: str) -> LieSuperalgebra:
             raise ParseError(lineno, 1, "expected a bracket line '[a,b] = ...'")
         lhs, rhs, body = m.group(1), m.group(2), m.group(3)
         combo: dict[str, Fraction] = {}
+        term_start = line.index(body)
         for term in body.split("+"):
             tm = _TERM_RE.match(term)
             if not tm:
                 raise ParseError(lineno, line.index(body) + 1,
                                  f"bad term {term.strip()!r}")
-            coef = Fraction(tm.group(1)) if tm.group(1) else Fraction(1)
+            try:
+                coef = Fraction(tm.group(1)) if tm.group(1) else Fraction(1)
+            except ZeroDivisionError:
+                raise ParseError(lineno, term_start + tm.start(1) + 1,
+                                 f"zero denominator in coefficient {tm.group(1)!r}") from None
+            term_start += len(term) + 1
             ident = tm.group(2)
             combo[ident] = combo.get(ident, Fraction(0)) + coef
         brackets.append((lineno, lhs, rhs, combo))

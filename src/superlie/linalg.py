@@ -1,9 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on dense row vectors (tuples of Fraction).  Echelon
-forms are fully reduced with pivots normalized to 1 and rows ordered by pivot
-column, so a subspace has exactly one matrix representation and subspace
-equality is syntactic.
+One elimination kernel, ``Echelon``, does all the row reduction.  It keeps a
+growing span in reduced row echelon form, with rows stored sparsely as
+``{column: Fraction}`` dicts, so callers can stream vectors into it one at a
+time and get each vector's residual back as it arrives.  Echelon forms are
+fully reduced with pivots normalized to 1 and rows ordered by pivot column,
+so a subspace has exactly one matrix representation and subspace equality is
+syntactic.
+
+``rref``, ``rank`` and ``nullspace`` are thin wrappers over the kernel that
+take and return dense row vectors (tuples of Fraction); ``reduce_mod``,
+``in_span``, ``invert`` and the vector helpers work on dense vectors too.
 """
 
 from __future__ import annotations
@@ -39,36 +46,107 @@ def is_zero(a: Vec) -> bool:
     return not any(a)
 
 
-def rref(rows) -> list[Vec]:
-    """Reduced row echelon form; zero rows dropped.
+Row = dict[int, Fraction]  # sparse row: column -> nonzero entry
 
-    Pivot rule: leftmost nonzero column, first available row, pivot scaled
-    to 1, eliminated above and below.
+
+def sparse(v: Vec) -> Row:
+    """The nonzero entries of a dense vector."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
+class Echelon:
+    """Incremental reduced row echelon form of a growing span.
+
+    The stored rows are sparse and kept fully reduced: every pivot is 1 and
+    every row is zero in every other pivot column.  Reduced echelon form is
+    unique, so the rows are the canonical basis of the span whatever order
+    the vectors arrived in.  Adding a vector costs one pass over the rows
+    whose pivots it touches, plus one pass clearing its new pivot column from
+    the other rows, so sparse rows stay cheap.
     """
-    mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    piv_row = 0
-    for col in range(ncols):
-        pr = None
-        for r in range(piv_row, len(mat)):
-            if mat[r][col] != 0:
-                pr = r
-                break
-        if pr is None:
-            continue
-        mat[piv_row], mat[pr] = mat[pr], mat[piv_row]
-        inv = _ONE / mat[piv_row][col]
-        mat[piv_row] = [inv * x for x in mat[piv_row]]
-        for r in range(len(mat)):
-            if r != piv_row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[piv_row])]
-        piv_row += 1
-        if piv_row == len(mat):
-            break
-    return [tuple(r) for r in mat[:piv_row] if any(r)]
+
+    __slots__ = ("_tails",)
+
+    def __init__(self, vectors=()):
+        # pivot column -> the row's other entries, all in non-pivot columns;
+        # the pivot entry itself is an implicit 1
+        self._tails: dict[int, Row] = {}
+        for v in vectors:
+            self.add(v)
+
+    def __len__(self) -> int:
+        return len(self._tails)
+
+    def add(self, v: Row) -> Row | None:
+        """Insert a sparse vector.  Return its residual modulo the span so
+        far, scaled to a leading entry of 1, or None if it is in the span."""
+        tails = self._tails
+        w = {c: x for c, x in v.items() if x}
+        for p in [c for c in w if c in tails]:
+            f = w.pop(p)
+            _axpy(w, -f, tails[p])
+        if not w:
+            return None
+        lead = min(w)
+        inv = _ONE / w.pop(lead)
+        tail = {c: inv * x for c, x in w.items()}
+        for row in tails.values():
+            f = row.pop(lead, None)
+            if f is not None:
+                _axpy(row, -f, tail)
+        tails[lead] = tail
+        return {lead: _ONE, **tail}
+
+    def rows(self) -> list[Row]:
+        """The canonical basis as sparse rows, by pivot column, each with its
+        entries in column order."""
+        return [{p: _ONE, **dict(sorted(self._tails[p].items()))} for p in sorted(self._tails)]
+
+    def dense(self, ncols: int) -> list[Vec]:
+        """The canonical basis as dense rows of length ncols."""
+        out = []
+        for p in sorted(self._tails):
+            v = [_ZERO] * ncols
+            v[p] = _ONE
+            for c, x in self._tails[p].items():
+                v[c] = x
+            out.append(tuple(v))
+        return out
+
+    def kernel_basis(self, ncols: int) -> list[Row]:
+        """A basis of {x : r . x = 0 for every row r}: for each non-pivot
+        column c, the vector with 1 at c and minus row p's entry at c at each
+        pivot p.  It is not in echelon form; pass it to an Echelon for the
+        canonical one."""
+        neg: dict[int, Row] = {}
+        for p, tail in self._tails.items():
+            for c, x in tail.items():
+                neg.setdefault(c, {})[p] = -x
+        return [{c: _ONE, **neg.get(c, {})} for c in range(ncols) if c not in self._tails]
+
+
+def _axpy(w: Row, a: Fraction, row: Row) -> None:
+    """w += a * row in place, dropping entries that cancel."""
+    for c, x in row.items():
+        y = w.get(c, 0) + a * x
+        if y:
+            w[c] = y
+        else:
+            del w[c]
+
+
+def rref(rows) -> list[Vec]:
+    """Reduced row echelon form of dense rows; zero rows dropped.
+
+    Pivots are the leftmost nonzero columns, scaled to 1 and cleared above
+    and below; rows are ordered by pivot column.
+    """
+    ech = Echelon()
+    ncols = 0
+    for r in rows:
+        ncols = len(r)
+        ech.add(sparse(r))
+    return ech.dense(ncols)
 
 
 def pivots(rref_rows) -> list[int]:
@@ -76,7 +154,7 @@ def pivots(rref_rows) -> list[int]:
 
 
 def rank(rows) -> int:
-    return len(rref(rows))
+    return len(Echelon(sparse(r) for r in rows))
 
 
 def reduce_mod(v: Vec, rref_rows) -> Vec:
@@ -95,19 +173,9 @@ def in_span(v: Vec, rref_rows) -> bool:
 
 
 def nullspace(rows, ncols: int) -> list[Vec]:
-    """Canonical echelon basis of {x : A x = 0} for A given by rows."""
-    red = rref(rows)
-    piv = set(pivots(red))
-    free = [c for c in range(ncols) if c not in piv]
-    basis = []
-    for c in free:
-        v = [_ZERO] * ncols
-        v[c] = _ONE
-        for row in red:
-            p = next(i for i, x in enumerate(row) if x != 0)
-            v[p] = -row[c]
-        basis.append(tuple(v))
-    return rref(basis)
+    """Canonical echelon basis of {x : A x = 0} for A given by dense rows."""
+    kernel = Echelon(sparse(r) for r in rows).kernel_basis(ncols)
+    return Echelon(kernel).dense(ncols)
 
 
 def invert(rows) -> list[Vec]:

@@ -1,0 +1,65 @@
+"""The dense elimination kernel that ``superlie.linalg`` used before its
+sparse incremental ``Echelon``, kept word for word as the test reference.
+
+Tests compare the library's ``rref`` and ``nullspace`` against these on
+random rational matrices; nothing outside the tests imports this module.
+"""
+
+from fractions import Fraction
+
+Vec = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def rref(rows) -> list[Vec]:
+    """Reduced row echelon form; zero rows dropped.
+
+    Pivot rule: leftmost nonzero column, first available row, pivot scaled
+    to 1, eliminated above and below.
+    """
+    mat = [list(r) for r in rows if any(r)]
+    if not mat:
+        return []
+    ncols = len(mat[0])
+    piv_row = 0
+    for col in range(ncols):
+        pr = None
+        for r in range(piv_row, len(mat)):
+            if mat[r][col] != 0:
+                pr = r
+                break
+        if pr is None:
+            continue
+        mat[piv_row], mat[pr] = mat[pr], mat[piv_row]
+        inv = _ONE / mat[piv_row][col]
+        mat[piv_row] = [inv * x for x in mat[piv_row]]
+        for r in range(len(mat)):
+            if r != piv_row and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[piv_row])]
+        piv_row += 1
+        if piv_row == len(mat):
+            break
+    return [tuple(r) for r in mat[:piv_row] if any(r)]
+
+
+def pivots(rref_rows) -> list[int]:
+    return [next(i for i, x in enumerate(r) if x != 0) for r in rref_rows]
+
+
+def nullspace(rows, ncols: int) -> list[Vec]:
+    """Canonical echelon basis of {x : A x = 0} for A given by rows."""
+    red = rref(rows)
+    piv = set(pivots(red))
+    free = [c for c in range(ncols) if c not in piv]
+    basis = []
+    for c in free:
+        v = [_ZERO] * ncols
+        v[c] = _ONE
+        for row in red:
+            p = next(i for i, x in enumerate(row) if x != 0)
+            v[p] = -row[c]
+        basis.append(tuple(v))
+    return rref(basis)

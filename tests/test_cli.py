@@ -48,6 +48,46 @@ def test_no_arguments(capsys):
     assert main([]) == 64
 
 
+def test_usage_lists_exit_codes(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    for code in ("0", "1", "2", "64"):
+        assert f"\n  {code} " in out
+
+
+def test_zero_denominator_file(tmp_path, capsys):
+    f = tmp_path / "bad.lsa"
+    f.write_text('algebra "X"\neven x y z\nodd\n[x,y] = 1/0 z\n')
+    assert main(["invariants", str(f)]) == 2
+    assert "parse error: line 4, column 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["validate", "invariants", "multiplier", "classify", "cover"])
+def test_missing_input_file(tmp_path, capsys, cmd):
+    path = tmp_path / "nope.lsa"
+    assert main([cmd, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read {path}: No such file or directory\n"
+
+
+def test_unreadable_input_file(tmp_path, capsys):
+    assert main(["invariants", str(tmp_path)]) == 2  # a directory
+    assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}: ")
+    f = tmp_path / "binary.lsa"
+    f.write_bytes(b"\xff\xfe\x00")
+    assert main(["invariants", str(f)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {f}: ")
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_verify_paper_rejects_empty_corpus(capsys, size):
+    assert main(["verify-paper", "--corpus-size", size]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--corpus-size must be at least 1" in captured.err
+    assert "usage: superlie" in captured.err
+
+
 def test_invariants_json(good_file, capsys):
     assert main(["invariants", good_file, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

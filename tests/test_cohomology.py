@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,13 @@ from superlie.constructions import (
     heisenberg_odd,
     model_l4,
 )
-from superlie.core import center, derived_subalgebra, direct_sum, quotient
-from superlie.errors import DependentClasses, InvalidParams, StemConditionFailed
+from superlie.core import center, change_basis, derived_subalgebra, direct_sum, quotient
+from superlie.errors import (
+    DependentClasses,
+    InvalidParams,
+    SingularMatrix,
+    StemConditionFailed,
+)
 from superlie.superdim import SuperDim, ZERO, bound
 
 F = Fraction
@@ -112,6 +118,37 @@ def test_multiplier_frozen_values(L, expected):
 @pytest.mark.parametrize("L,expected", FROZEN[:6], ids=[L.name for L, _ in FROZEN[:6]])
 def test_multiplier_against_independent_oracle(L, expected):
     assert multiplier_oracle(L) == expected.as_tuple()
+
+
+@pytest.mark.parametrize("L,expected", [
+    (heisenberg_even(12, 12), SuperDim(353, 288)),  # dim 37, Prop 4.4
+    (heisenberg_odd(10), SuperDim(100, 99)),        # dim 21, Prop 4.5
+], ids=["H(12,12)", "H(10)"])
+def test_multiplier_at_larger_dimension(L, expected):
+    res = multiplier(L)
+    assert res.sdim_M == expected
+    assert len(res.cocycle_basis) == expected.total()
+
+
+def _random_base_change(rng, L):
+    """A parity-preserving base change with non-unit denominators, so the
+    conjugated algebra has dense cocycle rows."""
+    d = L.dim
+    while True:
+        P = [[F(rng.randint(-2, 2), rng.randint(1, 3)) if L.parities[i] == L.parities[j]
+              else F(0) for j in range(d)] for i in range(d)]
+        try:
+            return change_basis(L, P)
+        except SingularMatrix:
+            continue
+
+
+@pytest.mark.parametrize("L", [heisenberg_even(2, 2), heisenberg_odd(3)], ids=["H(2,2)", "H(3)"])
+def test_base_changed_multiplier_against_independent_oracle(L):
+    conj = _random_base_change(random.Random(L.name), L)
+    assert not conj.structure_equals(L)
+    expected = multiplier_oracle(conj)
+    assert multiplier(conj).sdim_M.as_tuple() == expected == multiplier(L).sdim_M.as_tuple()
 
 
 def test_representatives_independent_mod_coboundaries():

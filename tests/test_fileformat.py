@@ -86,6 +86,13 @@ def test_parse_syntax_errors_carry_location():
         parse('algebra "T"\neven x y\nodd\n[x,y] = 2.5 x\n')
 
 
+def test_parse_zero_denominator_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse('algebra "T"\neven x y z\nodd\n[x,y] = z + 1/0 z\n')
+    assert (exc.value.line, exc.value.column) == (4, 13)
+    assert "zero denominator" in str(exc.value)
+
+
 def test_parse_identifier_errors():
     with pytest.raises(DuplicateIdentifier):
         parse('algebra "T"\neven x x\nodd\n')

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
+import reference_linalg as reference
 from superlie import linalg
 
 F = Fraction
@@ -81,3 +82,93 @@ def test_vector_helpers():
     assert linalg.vec_scale(F(1, 2), a) == (F(1, 2), F(1))
     assert linalg.is_zero(linalg.zero_vec(3))
     assert linalg.unit_vec(3, 1) == (F(0), F(1), F(0))
+
+
+# -- the sparse kernel against the seed's dense reference --------------------
+
+# rationals with non-unit denominators, plus plain ints, which the kernel
+# must also accept
+entry = st.one_of(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+                  st.integers(-3, 3))
+
+
+@st.composite
+def dense_matrices(draw):
+    ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols).map(tuple),
+                         max_size=7))
+    return rows, ncols
+
+
+@st.composite
+def sparse_matrices(draw):
+    """1-5% of the entries nonzero, so most rows are zero or have one entry."""
+    nrows, ncols = draw(st.integers(8, 30)), draw(st.integers(16, 40))
+    count = max(1, round(draw(st.floats(0.01, 0.05)) * nrows * ncols))
+    mat = [[F(0)] * ncols for _ in range(nrows)]
+    for _ in range(count):
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, ncols - 1))
+        mat[i][j] = draw(entry.filter(bool))
+    return [tuple(r) for r in mat], ncols
+
+
+@st.composite
+def matrices(draw):
+    """Dense or sparse, with extra zero and duplicate rows mixed in; may be 0 x n."""
+    rows, ncols = draw(st.one_of(dense_matrices(), sparse_matrices()))
+    rows += [(F(0),) * ncols] * draw(st.integers(0, 2))
+    if rows:
+        rows += [rows[draw(st.integers(0, len(rows) - 1))]] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows)), ncols
+
+
+@given(matrices())
+def test_rref_matches_reference(m):
+    rows, _ = m
+    assert linalg.rref(rows) == reference.rref(rows)
+    assert linalg.rank(rows) == len(reference.rref(rows))
+
+
+@given(matrices())
+def test_nullspace_matches_reference(m):
+    rows, ncols = m
+    assert linalg.nullspace(rows, ncols) == reference.nullspace(rows, ncols)
+
+
+def test_zero_row_input():
+    assert linalg.rref([]) == reference.rref([]) == []
+    assert linalg.nullspace([], 3) == reference.nullspace([], 3)
+    assert linalg.nullspace([], 3) == [linalg.unit_vec(3, i) for i in range(3)]
+
+
+@given(matrices(), st.randoms(use_true_random=False))
+def test_rref_independent_of_row_order(m, rng):
+    rows, _ = m
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert linalg.rref(shuffled) == linalg.rref(rows)
+
+
+@given(matrices())
+def test_outputs_are_fractions(m):
+    rows, ncols = m
+    for r in linalg.rref(rows) + linalg.nullspace(rows, ncols):
+        assert all(type(x) is Fraction for x in r)
+
+
+@given(matrices())
+def test_echelon_add_is_the_normalized_residual(m):
+    rows, ncols = m
+    ech = linalg.Echelon()
+    for k, v in enumerate(rows):
+        got = ech.add(linalg.sparse(v))
+        resid = linalg.reduce_mod(v, reference.rref(rows[:k]))
+        if linalg.is_zero(resid):
+            assert got is None
+        else:
+            lead = next(x for x in resid if x != 0)
+            expected = linalg.vec_scale(F(1) / lead, resid)
+            assert got == linalg.sparse(expected)
+            assert all(type(x) is Fraction for x in got.values())
+    assert ech.dense(ncols) == reference.rref(rows)
+    assert len(ech) == len(ech.rows()) == len(reference.rref(rows))
