@@ -1,6 +1,6 @@
 """Exact-arithmetic invariants for finite-dimensional Lie superalgebras."""
 
-from .superdim import SignedPair, SuperDim, bound, leq, pi_swap, tensor, total
+from .superdim import SignedPair, SuperDim, bound, tensor
 from .core import (
     DefiningPair,
     LieSuperalgebra,

@@ -23,7 +23,6 @@ from .core import (
     Subspace,
     _sign,
     derived_subalgebra,
-    quotient,
     validate,
 )
 from .errors import DependentClasses, InvalidParams, StemConditionFailed
@@ -241,18 +240,12 @@ def central_extension(L: LieSuperalgebra, chosen) -> CentralExtension:
         gen_pos[id(f)] = ne + ce + no + t
 
     parities = [0] * (ne + ce) + [1] * (no + co)
-    consts: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(L.dim):
-        for j in range(i, L.dim):
-            if i == j and L.parities[i] == 0:
-                continue
-            vec = {embed(k): c for k, c in L.basis_bracket(i, j).items()}
-            for f in ordered:
-                c = f(i, j)
-                if c != 0:
-                    vec[gen_pos[id(f)]] = c
-            if vec:
-                consts[(embed(i), embed(j))] = vec
+    # embed is increasing, so stored keys (i, j), i <= j, stay ordered
+    consts = {(embed(i), embed(j)): {embed(k): c for k, c in vec}
+              for (i, j), vec in L.constants}
+    for f in ordered:
+        for (i, j), c in f.values:
+            consts.setdefault((embed(i), embed(j)), {})[gen_pos[id(f)]] = c
 
     used = set(L.labels)
     clabels = []
@@ -270,11 +263,10 @@ def central_extension(L: LieSuperalgebra, chosen) -> CentralExtension:
         labels[gen_pos[id(f)]] = clabels[t]
 
     K = validate(parities, consts, name=f"Ext({L.name})", labels=labels)
-    gen_vectors = [K.basis_vector(gen_pos[id(f)]) for f in ordered]
-    M = Subspace.span(K, gen_vectors)
-    K2 = derived_subalgebra(K)
-    stem_ok = K2.contains_subspace(M)
-    _, proj = quotient(K, M)
+    M = Subspace.span(K, [K.basis_vector(gen_pos[id(f)]) for f in ordered])
+    stem_ok = derived_subalgebra(K).contains_subspace(M)
+    # K = L ⊕ M as spaces, so projecting to L reads off the embedded coordinates
+    proj = LinearMap(tuple(K.basis_vector(embed(i)) for i in range(L.dim)))
     return CentralExtension(base=L, algebra=K, kernel=M, stem_ok=stem_ok, projection=proj)
 
 

@@ -202,7 +202,9 @@ def validate(parities, constants, name: str = "L", labels=None) -> LieSuperalgeb
 @dataclass(frozen=True)
 class Subspace:
     """A homogeneous subspace, stored as one reduced-echelon coordinate
-    matrix per parity.  Canonical form makes equality syntactic."""
+    matrix per parity.  Canonical form makes equality syntactic.  Membership
+    and residuals reduce against a private echelon of the rows, built on
+    first use."""
 
     parent: LieSuperalgebra
     even_rows: tuple[Vec, ...]
@@ -210,18 +212,25 @@ class Subspace:
 
     @classmethod
     def span(cls, parent: LieSuperalgebra, vectors) -> "Subspace":
-        """Homogeneous span: each vector is split into its parity components.
+        """Linear span of homogeneous coordinate vectors.
 
-        For the spans arising here (brackets of homogeneous elements, kernels
-        computed per parity) this is the plain linear span.  ``vectors`` may
-        be any iterable; it is consumed once.
+        A vector with both even and odd nonzero coordinates raises
+        NonHomogeneous.  ``vectors`` may be any iterable; it is consumed once.
         """
+        return cls._span_rows(parent, (linalg.sparse(v) for v in vectors))
+
+    @classmethod
+    def _span_rows(cls, parent: LieSuperalgebra, rows) -> "Subspace":
+        """``span`` of sparse rows."""
         ne = parent.n_even
-        ev, od = linalg.Echelon(), linalg.Echelon()
-        for v in vectors:
-            ev.add({i: x for i, x in enumerate(v[:ne]) if x})
-            od.add({i: x for i, x in enumerate(v[ne:], ne) if x})
-        return cls(parent, tuple(ev.dense(parent.dim)), tuple(od.dense(parent.dim)))
+        ech = (linalg.Echelon(), linalg.Echelon())
+        for r in rows:
+            if r:
+                odd = min(r) >= ne
+                if odd != (max(r) >= ne):
+                    raise NonHomogeneous("span requires homogeneous vectors")
+                ech[odd].add(r)
+        return cls(parent, tuple(ech[0].dense(parent.dim)), tuple(ech[1].dense(parent.dim)))
 
     @classmethod
     def full(cls, parent: LieSuperalgebra) -> "Subspace":
@@ -230,6 +239,10 @@ class Subspace:
     @classmethod
     def zero(cls, parent: LieSuperalgebra) -> "Subspace":
         return cls(parent, (), ())
+
+    @cached_property
+    def _echelon(self) -> linalg.Echelon:
+        return linalg.Echelon(linalg.sparse(r) for r in self.rows)
 
     @property
     def sdim(self) -> SuperDim:
@@ -240,7 +253,7 @@ class Subspace:
         return self.even_rows + self.odd_rows
 
     def contains(self, v: Vec) -> bool:
-        return linalg.in_span(v, self.rows)
+        return not self._echelon.reduce(linalg.sparse(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)
@@ -250,22 +263,12 @@ class Subspace:
         return Subspace.span(self.parent, self.rows + other.rows)
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        """Intersection, computed per parity from the coefficient kernel."""
+        """Intersection, as the annihilator of the sum of the two
+        annihilators.  Annihilators of homogeneous subspaces are homogeneous."""
         self._check_parent(other)
-        out = []
-        for mine, theirs in ((self.even_rows, other.even_rows), (self.odd_rows, other.odd_rows)):
-            if not mine or not theirs:
-                continue
-            residuals = [linalg.reduce_mod(r, theirs) for r in mine]
-            # coefficient vectors a with sum_r a_r * mine_r inside `theirs`
-            eqs = [tuple(res[c] for res in residuals) for c in range(self.parent.dim)]
-            for coeffs in linalg.nullspace(eqs, len(mine)):
-                v = linalg.zero_vec(self.parent.dim)
-                for a, row in zip(coeffs, mine):
-                    if a != 0:
-                        v = linalg.vec_add(v, linalg.vec_scale(a, row))
-                out.append(v)
-        return Subspace.span(self.parent, out)
+        d = self.parent.dim
+        ann = linalg.Echelon(self._echelon.kernel_basis(d) + other._echelon.kernel_basis(d))
+        return Subspace._span_rows(self.parent, ann.kernel_basis(d))
 
     def _check_parent(self, other: "Subspace"):
         if self.parent is not other.parent and self.parent != other.parent:
@@ -311,25 +314,36 @@ def bracket_subspaces(L: LieSuperalgebra, U: Subspace, W: Subspace) -> Subspace:
 
 
 def derived_subalgebra(L: LieSuperalgebra) -> Subspace:
-    full = Subspace.full(L)
-    return bracket_subspaces(L, full, full)
+    """[L, L], spanned by the stored brackets [e_i, e_j], i <= j."""
+    return Subspace._span_rows(L, (dict(vec) for _, vec in L.constants))
 
 
-def _ad_kernel(L: LieSuperalgebra, targets: list[Vec]) -> Subspace:
-    """Per-parity kernel of x -> ([x, t] for t in targets)."""
-    support = [[(j, tj) for j, tj in enumerate(t) if tj] for t in targets]
+def _ad(L: LieSuperalgebra, i: int, v: linalg.Row) -> linalg.Row:
+    """[e_i, v] for a sparse v, as a sparse row that may hold zeros."""
+    out: linalg.Row = {}
+    for j, x in v.items():
+        for k, c in L.basis_bracket(i, j).items():
+            out[k] = out.get(k, 0) + x * c
+    return out
+
+
+def _ad_kernel(L: LieSuperalgebra, targets: list[Vec], modulo: Subspace) -> Subspace:
+    """{x : [x, t] in modulo for every t in targets}, solved per parity.
+
+    The residual of [x, t] modulo ``modulo`` is linear in x, so each
+    (target, coordinate) of it is one sparse equation over the coefficients
+    of the parity-par basis elements.
+    """
+    ech = modulo._echelon
+    support = [linalg.sparse(t) for t in targets]
     rows_by_parity = []
     for par in (0, 1):
         cols = [i for i in range(L.dim) if L.parities[i] == par]
-        # one sparse equation per (target, coordinate k) of the bracket,
-        # over the coefficients of the parity-par basis elements
-        eqs: dict[tuple[int, int], dict[int, Fraction]] = {}
+        eqs: dict[tuple[int, int], linalg.Row] = {}
         for c, i in enumerate(cols):
-            for t_idx, terms in enumerate(support):
-                for j, tj in terms:
-                    for k, x in L.basis_bracket(i, j).items():
-                        row = eqs.setdefault((t_idx, k), {})
-                        row[c] = row.get(c, 0) + tj * x
+            for t_idx, t in enumerate(support):
+                for k, x in ech.reduce(_ad(L, i, t)).items():
+                    eqs.setdefault((t_idx, k), {})[c] = x
         # the kernel basis is not canonical yet; the rref of its embedding is
         rows = []
         for coeffs in linalg.Echelon(eqs.values()).kernel_basis(len(cols)):
@@ -341,38 +355,24 @@ def _ad_kernel(L: LieSuperalgebra, targets: list[Vec]) -> Subspace:
     return Subspace(L, rows_by_parity[0], rows_by_parity[1])
 
 
+def _basis(L: LieSuperalgebra) -> list[Vec]:
+    return [L.basis_vector(i) for i in range(L.dim)]
+
+
 def center(L: LieSuperalgebra) -> Subspace:
-    return _ad_kernel(L, [L.basis_vector(i) for i in range(L.dim)])
+    return _ad_kernel(L, _basis(L), Subspace.zero(L))
 
 
 def centralizer(L: LieSuperalgebra, z: Vec) -> Subspace:
     """Kernel of x -> [x, z] for a nonzero homogeneous z."""
     if L.vector_parity(z) is None:
         raise NonHomogeneous("centralizer requires a nonzero homogeneous element")
-    return _ad_kernel(L, [z])
+    return _ad_kernel(L, [z], Subspace.zero(L))
 
 
 def second_center(L: LieSuperalgebra) -> Subspace:
-    """Preimage in L of the center of L/Z(L)."""
-    Z = center(L)
-    if Z.sdim == L.sdim:
-        return Subspace.full(L)
-    Q, proj = quotient(L, Z)
-    ZQ = center(Q)
-    rows = []
-    for par in (0, 1):
-        cols = [i for i in range(L.dim) if L.parities[i] == par]
-        if not cols:
-            continue
-        target_rows = ZQ.even_rows if par == 0 else ZQ.odd_rows
-        residuals = [linalg.reduce_mod(proj(L.basis_vector(i)), target_rows) for i in cols]
-        eqs = [tuple(res[k] for res in residuals) for k in range(Q.dim)]
-        for coeffs in linalg.nullspace(eqs, len(cols)):
-            v = [Fraction(0)] * L.dim
-            for c, i in enumerate(cols):
-                v[i] = coeffs[c]
-            rows.append(tuple(v))
-    return Subspace.span(L, rows)
+    """Preimage in L of the center of L/Z(L): {x : [x, L] inside Z(L)}."""
+    return _ad_kernel(L, _basis(L), center(L))
 
 
 def lower_central_series(L: LieSuperalgebra) -> list[Subspace]:
@@ -404,27 +404,26 @@ def quotient(L: LieSuperalgebra, I: Subspace) -> tuple[LieSuperalgebra, LinearMa
     """
     if I.parent is not L and I.parent != L:
         raise ParentMismatch("subspace does not belong to the algebra")
-    rows = I.rows
-    for j in range(L.dim):
-        ej = L.basis_vector(j)
-        for r in rows:
-            if not I.contains(L.bracket(ej, r)):
+    ech = I._echelon
+    for r in ech.rows():
+        for j in range(L.dim):
+            if ech.reduce(_ad(L, j, r)):
                 raise NotAnIdeal("subspace is not an ideal")
-    piv = set(linalg.pivots(rows))
+    piv = set(linalg.pivots(I.rows))
     comp = [c for c in range(L.dim) if c not in piv]
     qparities = tuple(L.parities[c] for c in comp)
 
-    def project(v: Vec) -> Vec:
-        w = linalg.reduce_mod(v, rows)
-        return tuple(w[c] for c in comp)
+    def project(v: linalg.Row) -> Vec:
+        w = ech.reduce(v)
+        return tuple(w.get(c, Fraction(0)) for c in comp)
 
-    proj_matrix = tuple(zip(*[project(L.basis_vector(i)) for i in range(L.dim)]))
+    proj_matrix = tuple(zip(*[project({i: Fraction(1)}) for i in range(L.dim)]))
     consts = {}
     for a in range(len(comp)):
         for b in range(a, len(comp)):
             if a == b and qparities[a] == 0:
                 continue
-            w = project(L.bracket(L.basis_vector(comp[a]), L.basis_vector(comp[b])))
+            w = project(L.basis_bracket(comp[a], comp[b]))
             if any(w):
                 consts[(a, b)] = {k: c for k, c in enumerate(w)}
     qlabels = tuple(L.labels[c] for c in comp)

@@ -8,9 +8,9 @@ fully reduced with pivots normalized to 1 and rows ordered by pivot column,
 so a subspace has exactly one matrix representation and subspace equality is
 syntactic.
 
-``rref``, ``rank`` and ``nullspace`` are thin wrappers over the kernel that
-take and return dense row vectors (tuples of Fraction); ``reduce_mod``,
-``in_span``, ``invert`` and the vector helpers work on dense vectors too.
+``rref``, ``rank``, ``nullspace``, ``reduce_mod`` and ``in_span`` are thin
+wrappers over the kernel that take and return dense row vectors (tuples of
+Fraction); ``invert`` and the vector helpers work on dense vectors too.
 """
 
 from __future__ import annotations
@@ -77,16 +77,24 @@ class Echelon:
     def __len__(self) -> int:
         return len(self._tails)
 
-    def add(self, v: Row) -> Row | None:
-        """Insert a sparse vector.  Return its residual modulo the span so
-        far, scaled to a leading entry of 1, or None if it is in the span."""
+    def reduce(self, v: Row) -> Row:
+        """The residual of a sparse vector modulo the span: v minus the
+        element of the span that agrees with it on every pivot column.  It
+        is empty exactly when v is in the span; v itself is not inserted."""
         tails = self._tails
         w = {c: x for c, x in v.items() if x}
         for p in [c for c in w if c in tails]:
             f = w.pop(p)
             _axpy(w, -f, tails[p])
+        return w
+
+    def add(self, v: Row) -> Row | None:
+        """Insert a sparse vector.  Return its residual modulo the span so
+        far, scaled to a leading entry of 1, or None if it is in the span."""
+        w = self.reduce(v)
         if not w:
             return None
+        tails = self._tails
         lead = min(w)
         inv = _ONE / w.pop(lead)
         tail = {c: inv * x for c, x in w.items()}
@@ -104,14 +112,7 @@ class Echelon:
 
     def dense(self, ncols: int) -> list[Vec]:
         """The canonical basis as dense rows of length ncols."""
-        out = []
-        for p in sorted(self._tails):
-            v = [_ZERO] * ncols
-            v[p] = _ONE
-            for c, x in self._tails[p].items():
-                v[c] = x
-            out.append(tuple(v))
-        return out
+        return [_dense({p: _ONE, **self._tails[p]}, ncols) for p in sorted(self._tails)]
 
     def kernel_basis(self, ncols: int) -> list[Row]:
         """A basis of {x : r . x = 0 for every row r}: for each non-pivot
@@ -123,6 +124,13 @@ class Echelon:
             for c, x in tail.items():
                 neg.setdefault(c, {})[p] = -x
         return [{c: _ONE, **neg.get(c, {})} for c in range(ncols) if c not in self._tails]
+
+
+def _dense(row: Row, ncols: int) -> Vec:
+    v = [_ZERO] * ncols
+    for c, x in row.items():
+        v[c] = x
+    return tuple(v)
 
 
 def _axpy(w: Row, a: Fraction, row: Row) -> None:
@@ -159,13 +167,7 @@ def rank(rows) -> int:
 
 def reduce_mod(v: Vec, rref_rows) -> Vec:
     """Residual of v after elimination against an echelon basis."""
-    w = list(v)
-    for row in rref_rows:
-        p = next(i for i, x in enumerate(row) if x != 0)
-        if w[p] != 0:
-            f = w[p]
-            w = [x - f * y for x, y in zip(w, row)]
-    return tuple(w)
+    return _dense(Echelon(sparse(r) for r in rref_rows).reduce(sparse(v)), len(v))
 
 
 def in_span(v: Vec, rref_rows) -> bool:

@@ -77,19 +77,6 @@ class SuperDim(SignedPair):
 ZERO = SuperDim(0, 0)
 
 
-def leq(a: SignedPair, b: SignedPair) -> bool:
-    """Componentwise partial order; incomparable pairs compare False both ways."""
-    return a.leq(b)
-
-
-def total(a: SignedPair) -> int:
-    return a.total()
-
-
-def pi_swap(a: SignedPair) -> SignedPair:
-    return a.pi_swap()
-
-
 def bound(a: SuperDim) -> SuperDim:
     """Largest possible derived/multiplier superdimension for a space of
     superdimension (m,n): (m(m-1)/2 + n(n+1)/2, m*n)."""

@@ -1,0 +1,71 @@
+"""The subspace calculus that ``superlie.core`` used before it ran on the
+one ``Echelon`` kernel, kept word for word as the test reference.
+
+The bodies are unchanged; their ``linalg`` is the library's vector helpers
+with the elimination (``reduce_mod``, ``nullspace``) taken from the dense
+seed kernel in ``reference_linalg``.  Tests compare ``second_center``,
+``Subspace.intersection`` and ``derived_subalgebra`` against these;
+nothing outside the tests imports this module.
+"""
+
+from fractions import Fraction
+from types import SimpleNamespace
+
+import reference_linalg
+from superlie import linalg as _linalg
+from superlie.core import Subspace, bracket_subspaces, center, quotient
+
+linalg = SimpleNamespace(
+    zero_vec=_linalg.zero_vec,
+    vec_add=_linalg.vec_add,
+    vec_scale=_linalg.vec_scale,
+    reduce_mod=reference_linalg.reduce_mod,
+    nullspace=reference_linalg.nullspace,
+)
+
+
+def intersection(self, other):
+    """Intersection, computed per parity from the coefficient kernel."""
+    self._check_parent(other)
+    out = []
+    for mine, theirs in ((self.even_rows, other.even_rows), (self.odd_rows, other.odd_rows)):
+        if not mine or not theirs:
+            continue
+        residuals = [linalg.reduce_mod(r, theirs) for r in mine]
+        # coefficient vectors a with sum_r a_r * mine_r inside `theirs`
+        eqs = [tuple(res[c] for res in residuals) for c in range(self.parent.dim)]
+        for coeffs in linalg.nullspace(eqs, len(mine)):
+            v = linalg.zero_vec(self.parent.dim)
+            for a, row in zip(coeffs, mine):
+                if a != 0:
+                    v = linalg.vec_add(v, linalg.vec_scale(a, row))
+            out.append(v)
+    return Subspace.span(self.parent, out)
+
+
+def derived_subalgebra(L):
+    full = Subspace.full(L)
+    return bracket_subspaces(L, full, full)
+
+
+def second_center(L):
+    """Preimage in L of the center of L/Z(L)."""
+    Z = center(L)
+    if Z.sdim == L.sdim:
+        return Subspace.full(L)
+    Q, proj = quotient(L, Z)
+    ZQ = center(Q)
+    rows = []
+    for par in (0, 1):
+        cols = [i for i in range(L.dim) if L.parities[i] == par]
+        if not cols:
+            continue
+        target_rows = ZQ.even_rows if par == 0 else ZQ.odd_rows
+        residuals = [linalg.reduce_mod(proj(L.basis_vector(i)), target_rows) for i in cols]
+        eqs = [tuple(res[k] for res in residuals) for k in range(Q.dim)]
+        for coeffs in linalg.nullspace(eqs, len(cols)):
+            v = [Fraction(0)] * L.dim
+            for c, i in enumerate(cols):
+                v[i] = coeffs[c]
+            rows.append(tuple(v))
+    return Subspace.span(L, rows)

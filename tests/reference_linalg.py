@@ -1,8 +1,10 @@
 """The dense elimination kernel that ``superlie.linalg`` used before its
 sparse incremental ``Echelon``, kept word for word as the test reference.
 
-Tests compare the library's ``rref`` and ``nullspace`` against these on
-random rational matrices; nothing outside the tests imports this module.
+Tests compare the library's ``rref``, ``nullspace`` and ``reduce_mod``
+against these on random rational matrices, and ``reference_core`` runs the
+earlier subspace calculus on them; nothing outside the tests imports this
+module.
 """
 
 from fractions import Fraction
@@ -47,6 +49,17 @@ def rref(rows) -> list[Vec]:
 
 def pivots(rref_rows) -> list[int]:
     return [next(i for i, x in enumerate(r) if x != 0) for r in rref_rows]
+
+
+def reduce_mod(v: Vec, rref_rows) -> Vec:
+    """Residual of v after elimination against an echelon basis."""
+    w = list(v)
+    for row in rref_rows:
+        p = next(i for i, x in enumerate(row) if x != 0)
+        if w[p] != 0:
+            f = w[p]
+            w = [x - f * y for x, y in zip(w, row)]
+    return tuple(w)
 
 
 def nullspace(rows, ncols: int) -> list[Vec]:

@@ -162,7 +162,7 @@ def test_echelon_add_is_the_normalized_residual(m):
     ech = linalg.Echelon()
     for k, v in enumerate(rows):
         got = ech.add(linalg.sparse(v))
-        resid = linalg.reduce_mod(v, reference.rref(rows[:k]))
+        resid = reference.reduce_mod(v, reference.rref(rows[:k]))
         if linalg.is_zero(resid):
             assert got is None
         else:
@@ -172,3 +172,16 @@ def test_echelon_add_is_the_normalized_residual(m):
             assert all(type(x) is Fraction for x in got.values())
     assert ech.dense(ncols) == reference.rref(rows)
     assert len(ech) == len(ech.rows()) == len(reference.rref(rows))
+
+
+@given(matrices(), st.data())
+def test_reduce_matches_reference(m, data):
+    rows, ncols = m
+    basis = reference.rref(rows)
+    v = data.draw(st.lists(entry, min_size=ncols, max_size=ncols).map(tuple))
+    expected = reference.reduce_mod(v, basis)
+    ech = linalg.Echelon(linalg.sparse(r) for r in rows)
+    assert ech.reduce(linalg.sparse(v)) == linalg.sparse(expected)
+    assert len(ech) == len(basis)  # reduce does not insert v
+    assert linalg.reduce_mod(v, basis) == expected
+    assert linalg.in_span(v, basis) == linalg.is_zero(expected)

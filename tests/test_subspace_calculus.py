@@ -1,0 +1,132 @@
+"""The subspace calculus on the echelon kernel against the earlier dense
+calculus (``reference_core``) and against sympy ranks.
+
+Subspaces are canonical, so ``==`` compares the exact reduced echelon rows.
+"""
+
+from fractions import Fraction
+
+from hypothesis import assume, given
+from hypothesis import strategies as st
+import pytest
+from sympy import Matrix, Rational
+
+import reference_core as reference
+from superlie.constructions import abelian, heisenberg_even, heisenberg_odd, model_l4
+from superlie.core import (
+    Subspace,
+    change_basis,
+    derived_subalgebra,
+    direct_sum,
+    is_nilpotent,
+    second_center,
+    validate,
+)
+from superlie.corpus import corpus
+from superlie.errors import NonHomogeneous, SingularMatrix
+
+F = Fraction
+
+SO3 = validate([0, 0, 0], {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}}, name="so3")
+MODELS = [abelian(2, 1), heisenberg_even(2, 1), heisenberg_even(0, 2), heisenberg_odd(2),
+          model_l4(), SO3, direct_sum(model_l4(), heisenberg_odd(1))]
+# nilpotency class >= 3 puts Z(L) < Z₂(L) < L strictly; few of corpus(0, 40) are
+DEEP = [L for L in corpus(1, 300) if is_nilpotent(L)[1] >= 3]
+ALGEBRAS = MODELS + corpus(0, 40) + DEEP
+
+rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def base_changed(draw):
+    """A corpus or model algebra, conjugated by a random invertible
+    parity-preserving matrix."""
+    L = draw(st.sampled_from(ALGEBRAS))
+    d = L.dim
+    P = [[draw(rational) if L.parities[i] == L.parities[j] else F(0) for j in range(d)]
+         for i in range(d)]
+    try:
+        return change_basis(L, P)
+    except SingularMatrix:
+        assume(False)
+
+
+algebras = st.one_of(st.sampled_from(ALGEBRAS), base_changed())
+
+
+@given(algebras)
+def test_second_center_matches_reference(L):
+    assert second_center(L) == reference.second_center(L)
+
+
+@given(algebras)
+def test_derived_subalgebra_matches_reference(L):
+    assert derived_subalgebra(L) == reference.derived_subalgebra(L)
+
+
+def _homogeneous(draw, L, parity, count):
+    idx = [i for i in range(L.dim) if L.parities[i] == parity]
+    out = []
+    for _ in range(count):
+        v = [F(0)] * L.dim
+        for i in idx:
+            v[i] = draw(st.one_of(st.just(F(0)), rational))
+        out.append(tuple(v))
+    return out
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two homogeneous subspaces of one algebra that share a random common
+    part, so their intersection is often nonzero."""
+    L = draw(st.sampled_from([abelian(m, n) for m in range(5) for n in range(5)][1:]))
+    spans = []
+    common = [_homogeneous(draw, L, p, draw(st.integers(0, 2))) for p in (0, 1)]
+    for _ in range(2):
+        vectors = []
+        for p in (0, 1):
+            vectors += common[p] + _homogeneous(draw, L, p, draw(st.integers(0, 3)))
+        spans.append(Subspace.span(L, draw(st.permutations(vectors))))
+    return spans
+
+
+@given(subspace_pairs())
+def test_intersection_matches_reference(pair):
+    U, W = pair
+    assert U.intersection(W) == reference.intersection(U, W)
+    assert U.intersection(W) == W.intersection(U)
+
+
+def _rank(rows):
+    if not rows:
+        return 0
+    return Matrix([[Rational(x.numerator, x.denominator) for x in r] for r in rows]).rank()
+
+
+@given(subspace_pairs())
+def test_intersection_dimension_by_sympy_rank(pair):
+    """dim(U ∩ W) = dim U + dim W - dim(U + W), per parity, with every
+    dimension on the right a sympy rank of the spanning rows."""
+    U, W = pair
+    cap = U.intersection(W)
+    for part in ("even_rows", "odd_rows"):
+        u, w = getattr(U, part), getattr(W, part)
+        assert len(getattr(cap, part)) == _rank(u) + _rank(w) - _rank(u + w)
+    for r in cap.rows:
+        assert U.contains(r) and W.contains(r)
+
+
+def test_intersection_with_zero_and_full():
+    L = heisenberg_even(1, 1)
+    U = Subspace.span(L, [L.basis_vector(0), L.basis_vector(3)])
+    assert U.intersection(Subspace.full(L)) == U
+    assert U.intersection(Subspace.zero(L)) == Subspace.zero(L)
+
+
+def test_span_rejects_mixed_parity():
+    L = heisenberg_even(1, 1)
+    with pytest.raises(NonHomogeneous):
+        Subspace.span(L, [L.basis_vector(0), (F(1), F(0), F(0), F(1))])
+    # zero vectors and homogeneous vectors of both parities are fine
+    S = Subspace.span(L, [(F(0),) * 4, (F(1), F(2), F(0), F(0)), L.basis_vector(3)])
+    assert S.sdim.as_tuple() == (1, 1)

@@ -2,16 +2,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from superlie.superdim import (
-    SignedPair,
-    SuperDim,
-    ZERO,
-    bound,
-    leq,
-    pi_swap,
-    tensor,
-    total,
-)
+from superlie.superdim import SignedPair, SuperDim, ZERO, bound, tensor
 
 dims = st.builds(SuperDim, st.integers(0, 12), st.integers(0, 12))
 pairs = st.builds(SignedPair, st.integers(-12, 12), st.integers(-12, 12))
@@ -20,8 +11,8 @@ pairs = st.builds(SignedPair, st.integers(-12, 12), st.integers(-12, 12))
 def test_basic_values():
     a = SuperDim(3, 2)
     assert a.even == 3 and a.odd == 2
-    assert total(a) == 5
-    assert pi_swap(a) == SuperDim(2, 3)
+    assert a.total() == 5
+    assert a.pi_swap() == SuperDim(2, 3)
     assert a.as_tuple() == (3, 2)
     assert ZERO == SuperDim(0, 0)
 
@@ -60,9 +51,9 @@ def test_addition_preserves_superdim():
 
 
 def test_partial_order_examples():
-    assert leq(SuperDim(1, 1), SuperDim(2, 1))
-    assert not leq(SuperDim(2, 0), SuperDim(1, 1))
-    assert not leq(SuperDim(1, 1), SuperDim(2, 0))
+    assert SuperDim(1, 1).leq(SuperDim(2, 1))
+    assert not SuperDim(2, 0).leq(SuperDim(1, 1))
+    assert not SuperDim(1, 1).leq(SuperDim(2, 0))
     assert SuperDim(1, 1).lt(SuperDim(2, 1))
     assert not SuperDim(2, 1).lt(SuperDim(2, 1))
 
@@ -85,39 +76,39 @@ def test_tensor_examples():
 
 @given(pairs)
 def test_leq_reflexive(a):
-    assert leq(a, a)
+    assert a.leq(a)
 
 
 @given(pairs, pairs)
 def test_leq_antisymmetric(a, b):
-    if leq(a, b) and leq(b, a):
+    if a.leq(b) and b.leq(a):
         assert a == b
 
 
 @given(pairs, pairs, pairs)
 def test_leq_transitive(a, b, c):
-    if leq(a, b) and leq(b, c):
-        assert leq(a, c)
+    if a.leq(b) and b.leq(c):
+        assert a.leq(c)
 
 
 @given(pairs, pairs)
 def test_total_additive(a, b):
-    assert total(a + b) == total(a) + total(b)
+    assert (a + b).total() == a.total() + b.total()
 
 
 @given(pairs)
 def test_pi_swap_involution(a):
-    assert pi_swap(pi_swap(a)) == a
-    assert total(pi_swap(a)) == total(a)
+    assert a.pi_swap().pi_swap() == a
+    assert a.pi_swap().total() == a.total()
 
 
 @given(dims, dims)
 def test_bound_monotone(a, b):
-    if leq(a, b):
-        assert leq(bound(a), bound(b))
+    if a.leq(b):
+        assert bound(a).leq(bound(b))
 
 
 @given(dims, dims)
 def test_tensor_symmetric(a, b):
     assert tensor(a, b) == tensor(b, a)
-    assert total(tensor(a, b)) == total(a) * total(b)
+    assert tensor(a, b).total() == a.total() * b.total()
