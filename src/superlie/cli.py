@@ -25,6 +25,7 @@ from .errors import (
     SuperlieError,
     UnknownName,
     UnreadableInput,
+    UsageError,
 )
 from .fileformat import emit, parse
 from .invariants import report
@@ -78,8 +79,24 @@ def _add_source(sub):
     sub.add_argument("--builtin", metavar="NAME", default=None)
 
 
+class _HelpShown(Exception):
+    """A command's -h/--help has printed its help."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that never exits the process: a bad command line
+    raises UsageError, and ``exit``, which only -h/--help still reaches,
+    raises _HelpShown."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+    def exit(self, status=0, message=None):
+        raise _HelpShown()
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="superlie", add_help=True)
+    parser = _Parser(prog="superlie", add_help=True)
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("validate")
@@ -208,9 +225,7 @@ def _cmd_cover(args) -> int:
 
 def _cmd_verify_paper(args) -> int:
     if args.corpus_size < 1:
-        print("error: --corpus-size must be at least 1", file=sys.stderr)
-        print(USAGE, file=sys.stderr)
-        return 64
+        raise UsageError("--corpus-size must be at least 1")
     results = run_paper_checks(seed=args.seed, corpus_size=args.corpus_size)
     ok = True
     for key, res in results.items():
@@ -228,17 +243,23 @@ def main(argv=None) -> int:
     if argv[0] not in COMMANDS:
         print(USAGE, file=sys.stderr)
         return 64
-    args = _build_parser().parse_args(argv)
-    handler = {
+    handlers = {
         "validate": _cmd_validate,
         "invariants": _cmd_invariants,
         "multiplier": _cmd_multiplier,
         "classify": _cmd_classify,
         "cover": _cmd_cover,
         "verify-paper": _cmd_verify_paper,
-    }[args.command]
+    }
     try:
-        return handler(args)
+        args = _build_parser().parse_args(argv)
+        return handlers[args.command](args)
+    except _HelpShown:
+        return 0
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print(USAGE, file=sys.stderr)
+        return 64
     except UnreadableInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -313,9 +313,33 @@ def bracket_subspaces(L: LieSuperalgebra, U: Subspace, W: Subspace) -> Subspace:
     return Subspace.span(L, (L.bracket(u, w) for u in U.rows for w in W.rows))
 
 
+def _memo(L: LieSuperalgebra, key: str, compute):
+    """compute(), run at most once per algebra and kept in L's instance
+    dict, as ``cached_property`` keeps ``_table``.
+
+    Keep only values that do not refer back to L: row tuples, SuperDims and
+    ints.  A Subspace points at L through ``parent``; caching one would make
+    a reference cycle, so L and its cache would outlive their last reference
+    until a full garbage collection.
+    """
+    cache = vars(L)
+    if key not in cache:
+        cache[key] = compute()
+    return cache[key]
+
+
+def _cached_subspace(L: LieSuperalgebra, key: str, compute) -> Subspace:
+    """A fresh Subspace over the rows of compute(), computed once per algebra."""
+    def rows():
+        S = compute()
+        return S.even_rows, S.odd_rows
+    return Subspace(L, *_memo(L, key, rows))
+
+
 def derived_subalgebra(L: LieSuperalgebra) -> Subspace:
     """[L, L], spanned by the stored brackets [e_i, e_j], i <= j."""
-    return Subspace._span_rows(L, (dict(vec) for _, vec in L.constants))
+    return _cached_subspace(L, "_derived", lambda: Subspace._span_rows(
+        L, (dict(vec) for _, vec in L.constants)))
 
 
 def _ad(L: LieSuperalgebra, i: int, v: linalg.Row) -> linalg.Row:
@@ -360,7 +384,7 @@ def _basis(L: LieSuperalgebra) -> list[Vec]:
 
 
 def center(L: LieSuperalgebra) -> Subspace:
-    return _ad_kernel(L, _basis(L), Subspace.zero(L))
+    return _cached_subspace(L, "_center", lambda: _ad_kernel(L, _basis(L), Subspace.zero(L)))
 
 
 def centralizer(L: LieSuperalgebra, z: Vec) -> Subspace:
@@ -372,7 +396,7 @@ def centralizer(L: LieSuperalgebra, z: Vec) -> Subspace:
 
 def second_center(L: LieSuperalgebra) -> Subspace:
     """Preimage in L of the center of L/Z(L): {x : [x, L] inside Z(L)}."""
-    return _ad_kernel(L, _basis(L), center(L))
+    return _cached_subspace(L, "_second_center", lambda: _ad_kernel(L, _basis(L), center(L)))
 
 
 def lower_central_series(L: LieSuperalgebra) -> list[Subspace]:
@@ -389,10 +413,12 @@ def lower_central_series(L: LieSuperalgebra) -> list[Subspace]:
 
 def is_nilpotent(L: LieSuperalgebra) -> tuple[bool, int | None]:
     """(nilpotent?, class); class is the number of strict series steps."""
-    series = lower_central_series(L)
-    if series[-1].sdim != ZERO:
-        return False, None
-    return True, len(series) - 1
+    def compute():
+        series = lower_central_series(L)
+        if series[-1].sdim != ZERO:
+            return False, None
+        return True, len(series) - 1
+    return _memo(L, "_nilpotency", compute)
 
 
 def quotient(L: LieSuperalgebra, I: Subspace) -> tuple[LieSuperalgebra, LinearMap]:

@@ -71,6 +71,10 @@ class NotInSecondCenterMinusCenter(SuperlieError):
     """The element is outside the domain of the rank-bound computation."""
 
 
+class UsageError(SuperlieError):
+    """A command line does not match the documented usage."""
+
+
 class UnreadableInput(SuperlieError):
     """An input file is missing or cannot be read as text."""
 

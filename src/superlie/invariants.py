@@ -35,6 +35,11 @@ class InvariantReport:
     nilpotency_class: int | None  # None = not nilpotent
 
 
+def _sdim_M(L: LieSuperalgebra) -> SuperDim:
+    """sdim M(L), from one ``multiplier`` run per algebra."""
+    return core._memo(L, "_sdim_M", lambda: multiplier(L).sdim_M)
+
+
 def sdr_report(L: LieSuperalgebra) -> tuple[SignedPair, int]:
     """sdr = bound(sdim L/Z(L)) - sdim L² and its total."""
     lz = (L.sdim - core.center(L).sdim).to_superdim()
@@ -47,7 +52,7 @@ def report(L: LieSuperalgebra) -> InvariantReport:
     sdim_L2 = core.derived_subalgebra(L).sdim
     sdim_Z = core.center(L).sdim
     sdim_LmodZ = (sdim_L - sdim_Z).to_superdim()
-    sdim_M = multiplier(L).sdim_M
+    sdim_M = _sdim_M(L)
     smr = bound(sdim_L) - sdim_M
     sdr = bound(sdim_LmodZ) - sdim_L2
     nil, cls = core.is_nilpotent(L)
@@ -68,7 +73,10 @@ def report(L: LieSuperalgebra) -> InvariantReport:
 
 def lambda_mu(L: LieSuperalgebra, z) -> tuple[SuperDim, SuperDim]:
     """For homogeneous z in Z₂(L) \\ Z(L): the superdimensions of [L, z] and
-    of the central quotient of L/[L, z]."""
+    of the central quotient of L/[L, z].
+
+    The center of L/[L, z] is P/[L, z] for P = {x : [x, L] inside [L, z]},
+    so μ = sdim L - sdim P, and no quotient algebra is built."""
     z = tuple(Fraction(c) for c in z)
     if L.vector_parity(z) is None:
         raise NonHomogeneous("lambda/mu require a nonzero homogeneous element")
@@ -78,10 +86,8 @@ def lambda_mu(L: LieSuperalgebra, z) -> tuple[SuperDim, SuperDim]:
         raise NotInSecondCenterMinusCenter(
             "element must lie in the second center but not the center")
     Lz = Subspace.span(L, [L.bracket(L.basis_vector(i), z) for i in range(L.dim)])
-    lam = Lz.sdim
-    Q, _ = core.quotient(L, Lz)
-    mu = (Q.sdim - core.center(Q).sdim).to_superdim()
-    return lam, mu
+    P = core._ad_kernel(L, core._basis(L), Lz)
+    return Lz.sdim, (L.sdim - P.sdim).to_superdim()
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +115,7 @@ def check_bounds(L: LieSuperalgebra) -> BoundReport:
     Z = core.center(L)
     L2 = core.derived_subalgebra(L)
     lz = (L.sdim - Z.sdim).to_superdim()
-    sdim_M = multiplier(L).sdim_M
+    sdim_M = _sdim_M(L)
     cap = L2.intersection(Z).sdim
     Q, _ = core.quotient(L, Z)
     mq = multiplier(Q).sdim_M

@@ -1,19 +1,23 @@
 """The subspace calculus that ``superlie.core`` used before it ran on the
-one ``Echelon`` kernel, kept word for word as the test reference.
+one ``Echelon`` kernel, and the quotient-based ``lambda_mu`` of
+``superlie.invariants``, kept word for word as the test reference.
 
 The bodies are unchanged; their ``linalg`` is the library's vector helpers
 with the elimination (``reduce_mod``, ``nullspace``) taken from the dense
 seed kernel in ``reference_linalg``.  Tests compare ``second_center``,
-``Subspace.intersection`` and ``derived_subalgebra`` against these;
-nothing outside the tests imports this module.
+``Subspace.intersection``, ``derived_subalgebra`` and ``lambda_mu`` against
+these; nothing outside the tests imports this module.
 """
 
 from fractions import Fraction
 from types import SimpleNamespace
 
 import reference_linalg
+from superlie import core
 from superlie import linalg as _linalg
-from superlie.core import Subspace, bracket_subspaces, center, quotient
+from superlie.core import LieSuperalgebra, Subspace, bracket_subspaces, center, quotient
+from superlie.errors import NonHomogeneous, NotInSecondCenterMinusCenter
+from superlie.superdim import SuperDim
 
 linalg = SimpleNamespace(
     zero_vec=_linalg.zero_vec,
@@ -69,3 +73,21 @@ def second_center(L):
                 v[i] = coeffs[c]
             rows.append(tuple(v))
     return Subspace.span(L, rows)
+
+
+def lambda_mu(L: LieSuperalgebra, z) -> tuple[SuperDim, SuperDim]:
+    """For homogeneous z in Z₂(L) \\ Z(L): the superdimensions of [L, z] and
+    of the central quotient of L/[L, z]."""
+    z = tuple(Fraction(c) for c in z)
+    if L.vector_parity(z) is None:
+        raise NonHomogeneous("lambda/mu require a nonzero homogeneous element")
+    Z = core.center(L)
+    Z2 = core.second_center(L)
+    if Z.contains(z) or not Z2.contains(z):
+        raise NotInSecondCenterMinusCenter(
+            "element must lie in the second center but not the center")
+    Lz = Subspace.span(L, [L.bracket(L.basis_vector(i), z) for i in range(L.dim)])
+    lam = Lz.sdim
+    Q, _ = core.quotient(L, Lz)
+    mu = (Q.sdim - core.center(Q).sdim).to_superdim()
+    return lam, mu

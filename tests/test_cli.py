@@ -88,6 +88,26 @@ def test_verify_paper_rejects_empty_corpus(capsys, size):
     assert "usage: superlie" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["invariants", "--builtin", "H(1,0)", "--bogus"], "unrecognized arguments: --bogus"),
+    (["verify-paper", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["verify-paper", "--corpus-size", "x"], "argument --corpus-size: invalid int value: 'x'"),
+    (["validate"], "the following arguments are required: file"),
+])
+def test_bad_flags_are_usage_errors(capsys, argv, message):
+    assert main(argv) == 64  # returned, not raised through SystemExit
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}\n")
+    assert "usage: superlie" in captured.err
+
+
+def test_command_help_returns_zero(capsys):
+    assert main(["invariants", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: superlie invariants") and captured.err == ""
+
+
 def test_invariants_json(good_file, capsys):
     assert main(["invariants", good_file, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
