@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import core
-from .constructions import abelian, heisenberg_even, heisenberg_odd
+from .constructions import abelian, heisenberg_even
 from .core import LieSuperalgebra
 from .errors import NotNilpotent
 from .invariants import report
@@ -30,15 +30,17 @@ class Fingerprint:
 
 
 def fingerprint(L: LieSuperalgebra) -> Fingerprint:
+    """A view of ``report``.  L² lies in Z(L) exactly when [L, L²] = L³ = 0,
+    that is when L is nilpotent of class at most 2."""
     rep = report(L)
-    derived = core.derived_subalgebra(L)
+    cls = rep.nilpotency_class
     return Fingerprint(
         sdim_L=rep.sdim_L,
         sdim_L2=rep.sdim_L2,
         sdim_Z=rep.sdim_Z,
         smr=rep.smr,
-        nilpotency_class=rep.nilpotency_class,
-        derived_in_center=core.center(L).contains_subspace(derived),
+        nilpotency_class=cls,
+        derived_in_center=cls is not None and cls <= 2,
     )
 
 

@@ -12,7 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import core
 from .classify import NotCovered, classify_mr_le2
 from .cohomology import cover_candidate, multiplier
 from .constructions import builtin
@@ -23,7 +22,6 @@ from .errors import (
     NotNilpotent,
     ParseError,
     SuperlieError,
-    UnknownName,
     UnreadableInput,
     UsageError,
 )
@@ -266,9 +264,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (GradingError, JacobiError, InvalidParams, UnknownName, NotNilpotent) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except SuperlieError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

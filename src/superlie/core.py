@@ -144,16 +144,7 @@ class LieSuperalgebra:
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
         """Bilinear extension of the basis bracket to coordinate vectors."""
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                for k, c in self.basis_bracket(i, j).items():
-                    out[k] += xi * yj * c
-        return tuple(out)
+        return linalg._dense(_bracket(self, linalg.sparse(x), linalg.sparse(y)), self.dim)
 
     def vector_parity(self, v: Vec) -> int | None:
         """Parity of a homogeneous coordinate vector, None if mixed or zero."""
@@ -305,22 +296,36 @@ class DefiningPair:
 # -- structural calculus -----------------------------------------------------
 
 
+def _bracket(L: LieSuperalgebra, x: linalg.Row, y: linalg.Row) -> linalg.Row:
+    """[x, y] for sparse x and y, as a sparse row that may hold zeros."""
+    out: linalg.Row = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            ab = a * b
+            for k, c in L.basis_bracket(i, j).items():
+                out[k] = out.get(k, 0) + ab * c
+    return out
+
+
 def bracket_subspaces(L: LieSuperalgebra, U: Subspace, W: Subspace) -> Subspace:
     """Span of all brackets [u, w] over spanning vectors of U and W."""
     for S in (U, W):
         if S.parent is not L and S.parent != L:
             raise ParentMismatch("subspace does not belong to the algebra")
-    return Subspace.span(L, (L.bracket(u, w) for u in U.rows for w in W.rows))
+    us, ws = [linalg.sparse(u) for u in U.rows], [linalg.sparse(w) for w in W.rows]
+    return Subspace._span_rows(L, (_bracket(L, u, w) for u in us for w in ws))
 
 
 def _memo(L: LieSuperalgebra, key: str, compute):
     """compute(), run at most once per algebra and kept in L's instance
     dict, as ``cached_property`` keeps ``_table``.
 
-    Keep only values that do not refer back to L: row tuples, SuperDims and
-    ints.  A Subspace points at L through ``parent``; caching one would make
-    a reference cycle, so L and its cache would outlive their last reference
-    until a full garbage collection.
+    Keep only values that do not refer back to L: row tuples, SuperDims,
+    ints, and algebras built from L's data such as the central quotient
+    L/Z(L), which keeps L's labels but no reference to L.  A Subspace points
+    at L through ``parent``; caching one would make a reference cycle, so L
+    and its cache would outlive their last reference until a full garbage
+    collection.
     """
     cache = vars(L)
     if key not in cache:
@@ -342,15 +347,6 @@ def derived_subalgebra(L: LieSuperalgebra) -> Subspace:
         L, (dict(vec) for _, vec in L.constants)))
 
 
-def _ad(L: LieSuperalgebra, i: int, v: linalg.Row) -> linalg.Row:
-    """[e_i, v] for a sparse v, as a sparse row that may hold zeros."""
-    out: linalg.Row = {}
-    for j, x in v.items():
-        for k, c in L.basis_bracket(i, j).items():
-            out[k] = out.get(k, 0) + x * c
-    return out
-
-
 def _ad_kernel(L: LieSuperalgebra, targets: list[Vec], modulo: Subspace) -> Subspace:
     """{x : [x, t] in modulo for every t in targets}, solved per parity.
 
@@ -366,7 +362,7 @@ def _ad_kernel(L: LieSuperalgebra, targets: list[Vec], modulo: Subspace) -> Subs
         eqs: dict[tuple[int, int], linalg.Row] = {}
         for c, i in enumerate(cols):
             for t_idx, t in enumerate(support):
-                for k, x in ech.reduce(_ad(L, i, t)).items():
+                for k, x in ech.reduce(_bracket(L, {i: 1}, t)).items():
                     eqs.setdefault((t_idx, k), {})[c] = x
         # the kernel basis is not canonical yet; the rref of its embedding is
         rows = []
@@ -433,7 +429,7 @@ def quotient(L: LieSuperalgebra, I: Subspace) -> tuple[LieSuperalgebra, LinearMa
     ech = I._echelon
     for r in ech.rows():
         for j in range(L.dim):
-            if ech.reduce(_ad(L, j, r)):
+            if ech.reduce(_bracket(L, {j: 1}, r)):
                 raise NotAnIdeal("subspace is not an ideal")
     piv = set(linalg.pivots(I.rows))
     comp = [c for c in range(L.dim) if c not in piv]
@@ -458,44 +454,27 @@ def quotient(L: LieSuperalgebra, I: Subspace) -> tuple[LieSuperalgebra, LinearMa
 
 
 def direct_sum(A: LieSuperalgebra, B: LieSuperalgebra) -> LieSuperalgebra:
-    """Concatenated basis (re-sorted even-before-odd), cross brackets zero."""
-    amap = {}
-    bmap = {}
-    pos = 0
-    for i in A.even_indices():
-        amap[i] = pos
-        pos += 1
-    for i in B.even_indices():
-        bmap[i] = pos
-        pos += 1
-    for i in A.odd_indices():
-        amap[i] = pos
-        pos += 1
-    for i in B.odd_indices():
-        bmap[i] = pos
-        pos += 1
+    """Concatenated basis (re-sorted even-before-odd), cross brackets zero.
+
+    Both embeddings are increasing, so every stored pair (i, j), i <= j,
+    stays in order."""
+    amap = [i if p == 0 else B.n_even + i for i, p in enumerate(A.parities)]
+    bmap = [A.n_even + j if p == 0 else A.dim + j for j, p in enumerate(B.parities)]
     parities = [0] * (A.n_even + B.n_even) + [1] * (A.n_odd + B.n_odd)
     consts = {}
     for src, idxmap in ((A, amap), (B, bmap)):
         for (i, j), vec in src.constants:
-            ni, nj = idxmap[i], idxmap[j]
-            if ni > nj:
-                s = -_sign(src.parities[i], src.parities[j])
-                ni, nj = nj, ni
-                vec = tuple((k, s * c) for k, c in vec)
-            consts[(ni, nj)] = {idxmap[k]: c for k, c in vec}
+            consts[(idxmap[i], idxmap[j])] = {idxmap[k]: c for k, c in vec}
     used = set(A.labels)
-    blabels = []
-    for lab in B.labels:
+    labels = [""] * len(parities)
+    for i, ni in enumerate(amap):
+        labels[ni] = A.labels[i]
+    for j, nj in enumerate(bmap):
+        lab = B.labels[j]
         while lab in used:
             lab += "'"
         used.add(lab)
-        blabels.append(lab)
-    labels = [""] * len(parities)
-    for i, ni in amap.items():
-        labels[ni] = A.labels[i]
-    for i, ni in bmap.items():
-        labels[ni] = blabels[i]
+        labels[nj] = lab
     return validate(parities, consts, name=f"{A.name}+{B.name}", labels=labels)
 
 

@@ -59,14 +59,13 @@ def parse(text: str) -> LieSuperalgebra:
                 raise ParseError(lineno, 1, 'expected algebra "<name>"')
             name = m.group(1)
             continue
-        head = line.split()[0]
-        if head in ("even", "odd"):
-            ids = line.split()[1:]
-            for ident in ids:
-                if not re.fullmatch(_IDENT, ident):
-                    raise ParseError(lineno, line.index(ident) + 1,
-                                     f"bad identifier {ident!r}")
-            if head == "even":
+        head, *tokens = re.finditer(r"\S+", line)
+        if head.group() in ("even", "odd"):
+            ids = [t.group() for t in tokens]
+            for t in tokens:
+                if not re.fullmatch(_IDENT, t.group()):
+                    raise ParseError(lineno, t.start() + 1, f"bad identifier {t.group()!r}")
+            if head.group() == "even":
                 if seen_even:
                     raise ParseError(lineno, 1, "duplicate even section")
                 seen_even, even = True, ids
@@ -80,11 +79,11 @@ def parse(text: str) -> LieSuperalgebra:
             raise ParseError(lineno, 1, "expected a bracket line '[a,b] = ...'")
         lhs, rhs, body = m.group(1), m.group(2), m.group(3)
         combo: dict[str, Fraction] = {}
-        term_start = line.index(body)
+        term_start = m.start(3)
         for term in body.split("+"):
             tm = _TERM_RE.match(term)
             if not tm:
-                raise ParseError(lineno, line.index(body) + 1,
+                raise ParseError(lineno, term_start + len(term) - len(term.lstrip()) + 1,
                                  f"bad term {term.strip()!r}")
             try:
                 coef = Fraction(tm.group(1)) if tm.group(1) else Fraction(1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import core
+from . import core, linalg
 from .cohomology import multiplier
 from .core import LieSuperalgebra, Subspace
 from .errors import NonHomogeneous, NotInSecondCenterMinusCenter
@@ -40,11 +40,15 @@ def _sdim_M(L: LieSuperalgebra) -> SuperDim:
     return core._memo(L, "_sdim_M", lambda: multiplier(L).sdim_M)
 
 
+def _central_quotient(L: LieSuperalgebra) -> LieSuperalgebra:
+    """L/Z(L), built once per algebra; it holds no reference back to L."""
+    return core._memo(L, "_central_quotient", lambda: core.quotient(L, core.center(L))[0])
+
+
 def sdr_report(L: LieSuperalgebra) -> tuple[SignedPair, int]:
-    """sdr = bound(sdim L/Z(L)) - sdim L² and its total."""
-    lz = (L.sdim - core.center(L).sdim).to_superdim()
-    sdr = bound(lz) - core.derived_subalgebra(L).sdim
-    return sdr, sdr.total()
+    """sdr = bound(sdim L/Z(L)) - sdim L² and its total, read from ``report``."""
+    rep = report(L)
+    return rep.sdr, rep.dr
 
 
 def report(L: LieSuperalgebra) -> InvariantReport:
@@ -85,7 +89,8 @@ def lambda_mu(L: LieSuperalgebra, z) -> tuple[SuperDim, SuperDim]:
     if Z.contains(z) or not Z2.contains(z):
         raise NotInSecondCenterMinusCenter(
             "element must lie in the second center but not the center")
-    Lz = Subspace.span(L, [L.bracket(L.basis_vector(i), z) for i in range(L.dim)])
+    zs = linalg.sparse(z)
+    Lz = Subspace._span_rows(L, (core._bracket(L, {i: 1}, zs) for i in range(L.dim)))
     P = core._ad_kernel(L, core._basis(L), Lz)
     return Lz.sdim, (L.sdim - P.sdim).to_superdim()
 
@@ -112,22 +117,18 @@ class BoundReport:
 
 
 def check_bounds(L: LieSuperalgebra) -> BoundReport:
-    Z = core.center(L)
-    L2 = core.derived_subalgebra(L)
-    lz = (L.sdim - Z.sdim).to_superdim()
-    sdim_M = _sdim_M(L)
-    cap = L2.intersection(Z).sdim
-    Q, _ = core.quotient(L, Z)
-    mq = multiplier(Q).sdim_M
+    rep = report(L)
+    cap = core.derived_subalgebra(L).intersection(core.center(L)).sdim
+    mq = _sdim_M(_central_quotient(L))
     return BoundReport(
-        sdim_L=L.sdim,
-        sdim_L2=L2.sdim,
-        sdim_LmodZ=lz,
-        sdim_M=sdim_M,
+        sdim_L=rep.sdim_L,
+        sdim_L2=rep.sdim_L2,
+        sdim_LmodZ=rep.sdim_LmodZ,
+        sdim_M=rep.sdim_M,
         sdim_L2_cap_Z=cap,
         sdim_M_of_LmodZ=mq,
-        derived_le_bound=L2.sdim.leq(bound(lz)),
-        multiplier_le_bound=sdim_M.leq(bound(L.sdim)),
+        derived_le_bound=rep.sdim_L2.leq(bound(rep.sdim_LmodZ)),
+        multiplier_le_bound=rep.sdim_M.leq(bound(rep.sdim_L)),
         central_derived_le_quotient_multiplier=cap.leq(mq),
     )
 
@@ -146,5 +147,5 @@ def kunneth_check(A: LieSuperalgebra, B: LieSuperalgebra) -> SumFormulaReport:
     lhs = multiplier(core.direct_sum(A, B)).sdim_M
     ab_a = (A.sdim - core.derived_subalgebra(A).sdim).to_superdim()
     ab_b = (B.sdim - core.derived_subalgebra(B).sdim).to_superdim()
-    rhs = (multiplier(A).sdim_M + multiplier(B).sdim_M + tensor(ab_a, ab_b)).to_superdim()
+    rhs = (_sdim_M(A) + _sdim_M(B) + tensor(ab_a, ab_b)).to_superdim()
     return SumFormulaReport(lhs=lhs, rhs=rhs, equal=lhs == rhs)

@@ -1,12 +1,16 @@
 """The subspace calculus that ``superlie.core`` used before it ran on the
-one ``Echelon`` kernel, and the quotient-based ``lambda_mu`` of
-``superlie.invariants``, kept word for word as the test reference.
+one ``Echelon`` kernel, the quotient-based ``lambda_mu`` of
+``superlie.invariants``, and the dense ``LieSuperalgebra.bracket`` and
+index-map ``direct_sum`` that ``superlie.core`` used before its one sparse
+bracket, kept word for word as the test reference.
 
-The bodies are unchanged; their ``linalg`` is the library's vector helpers
+The bodies are unchanged (``bracket`` is the former method, with ``self``
+now the algebra argument); their ``linalg`` is the library's vector helpers
 with the elimination (``reduce_mod``, ``nullspace``) taken from the dense
 seed kernel in ``reference_linalg``.  Tests compare ``second_center``,
-``Subspace.intersection``, ``derived_subalgebra`` and ``lambda_mu`` against
-these; nothing outside the tests imports this module.
+``Subspace.intersection``, ``derived_subalgebra``, ``lambda_mu``, ``bracket``
+and ``direct_sum`` against these; nothing outside the tests imports this
+module.
 """
 
 from fractions import Fraction
@@ -15,7 +19,15 @@ from types import SimpleNamespace
 import reference_linalg
 from superlie import core
 from superlie import linalg as _linalg
-from superlie.core import LieSuperalgebra, Subspace, bracket_subspaces, center, quotient
+from superlie.core import (
+    LieSuperalgebra,
+    Subspace,
+    _sign,
+    bracket_subspaces,
+    center,
+    quotient,
+    validate,
+)
 from superlie.errors import NonHomogeneous, NotInSecondCenterMinusCenter
 from superlie.superdim import SuperDim
 
@@ -91,3 +103,59 @@ def lambda_mu(L: LieSuperalgebra, z) -> tuple[SuperDim, SuperDim]:
     Q, _ = core.quotient(L, Lz)
     mu = (Q.sdim - core.center(Q).sdim).to_superdim()
     return lam, mu
+
+
+def bracket(self, x, y):
+    """Bilinear extension of the basis bracket to coordinate vectors."""
+    out = [Fraction(0)] * self.dim
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            for k, c in self.basis_bracket(i, j).items():
+                out[k] += xi * yj * c
+    return tuple(out)
+
+
+def direct_sum(A: LieSuperalgebra, B: LieSuperalgebra) -> LieSuperalgebra:
+    """Concatenated basis (re-sorted even-before-odd), cross brackets zero."""
+    amap = {}
+    bmap = {}
+    pos = 0
+    for i in A.even_indices():
+        amap[i] = pos
+        pos += 1
+    for i in B.even_indices():
+        bmap[i] = pos
+        pos += 1
+    for i in A.odd_indices():
+        amap[i] = pos
+        pos += 1
+    for i in B.odd_indices():
+        bmap[i] = pos
+        pos += 1
+    parities = [0] * (A.n_even + B.n_even) + [1] * (A.n_odd + B.n_odd)
+    consts = {}
+    for src, idxmap in ((A, amap), (B, bmap)):
+        for (i, j), vec in src.constants:
+            ni, nj = idxmap[i], idxmap[j]
+            if ni > nj:
+                s = -_sign(src.parities[i], src.parities[j])
+                ni, nj = nj, ni
+                vec = tuple((k, s * c) for k, c in vec)
+            consts[(ni, nj)] = {idxmap[k]: c for k, c in vec}
+    used = set(A.labels)
+    blabels = []
+    for lab in B.labels:
+        while lab in used:
+            lab += "'"
+        used.add(lab)
+        blabels.append(lab)
+    labels = [""] * len(parities)
+    for i, ni in amap.items():
+        labels[ni] = A.labels[i]
+    for i, ni in bmap.items():
+        labels[ni] = blabels[i]
+    return validate(parities, consts, name=f"{A.name}+{B.name}", labels=labels)

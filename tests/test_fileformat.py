@@ -93,6 +93,21 @@ def test_parse_zero_denominator_is_a_parse_error():
     assert "zero denominator" in str(exc.value)
 
 
+@pytest.mark.parametrize("line,column,message", [
+    ("even x1a 1a", 10, "bad identifier '1a'"),
+    ("even  a\tb 9", 11, "bad identifier '9'"),
+    ("[a,b] = c + 2 ?", 13, "bad term '2 ?'"),
+    ("[a,b] = c +   d d", 15, "bad term 'd d'"),
+    ("[a,b] = ?", 9, "bad term '?'"),
+])
+def test_parse_errors_point_at_their_token(line, column, message):
+    text = 'algebra "T"\neven a b c\nodd\n' if line.startswith("[") else 'algebra "T"\n'
+    with pytest.raises(ParseError) as exc:
+        parse(text + line + "\n")
+    assert exc.value.column == column
+    assert message in str(exc.value)
+
+
 def test_parse_identifier_errors():
     with pytest.raises(DuplicateIdentifier):
         parse('algebra "T"\neven x x\nodd\n')

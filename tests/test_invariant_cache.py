@@ -1,11 +1,15 @@
-"""The per-algebra invariant cache and the quotient-free μ of ``lambda_mu``.
+"""The per-algebra invariant cache, the views read from it, and the
+quotient-free μ of ``lambda_mu``.
 
 Each structural invariant is computed at most once per algebra and kept in
-the algebra's instance dict as plain rows and ints; the public functions
-wrap the rows in a fresh ``Subspace``.  These tests check that the cached
-values are exact, that each invariant really is computed once, and that the
-cache forms no reference cycle, so an algebra is freed by reference counting
-alone.
+the algebra's instance dict as plain rows, ints and the central quotient
+L/Z(L); the public functions wrap the rows in a fresh ``Subspace``.  These
+tests check that the cached values are exact, that each invariant really is
+computed once, and that the cache forms no reference cycle, so an algebra is
+freed by reference counting alone.  ``fingerprint``, ``check_bounds`` and the
+``verify-paper`` ledger read ``report`` and the cached L/Z(L) instead of
+recomputing them; ``direct_sum`` is checked against its earlier index-map
+form.
 """
 
 import gc
@@ -18,7 +22,7 @@ import pytest
 
 import reference_core as reference
 from superlie import core, invariants, verification
-from superlie.classify import classify_mr_le2
+from superlie.classify import TableReport, classify_mr_le2, fingerprint
 from superlie.cohomology import multiplier
 from superlie.constructions import abelian, heisenberg_even, heisenberg_odd, model_l4
 from superlie.core import (
@@ -139,7 +143,8 @@ def test_no_reference_cycle():
         check_bounds(L)
         classify_mr_le2(L)
         lambda_mu(L, z)
-        assert {"_center", "_derived", "_second_center", "_nilpotency", "_sdim_M"} <= set(vars(L))
+        assert {"_center", "_derived", "_second_center", "_nilpotency", "_sdim_M",
+                "_central_quotient"} <= set(vars(L))
         ref = weakref.ref(L)
         del L
         assert ref() is None
@@ -176,3 +181,80 @@ def test_mu_domain_errors_match_reference():
         for fn in (lambda_mu, reference.lambda_mu):
             with pytest.raises(NotInSecondCenterMinusCenter):
                 fn(L, z)
+
+
+def _derived_in_center(L):
+    """The containment test ``fingerprint`` made before it read the class."""
+    return center(L).contains_subspace(derived_subalgebra(L))
+
+
+@pytest.mark.parametrize("L", ALGEBRAS, ids=lambda L: L.name)
+def test_derived_in_center_is_class_at_most_two(L):
+    assert fingerprint(L).derived_in_center == _derived_in_center(_fresh(L))
+
+
+@given(base_changed())
+def test_derived_in_center_after_base_change(L):
+    assert fingerprint(L).derived_in_center == _derived_in_center(_fresh(L))
+
+
+def test_derived_in_center_takes_both_values():
+    assert {fingerprint(L).derived_in_center for L in ALGEBRAS} == {False, True}
+
+
+def test_central_quotient_is_built_once():
+    L = _fresh(model_l4())
+    Q = invariants._central_quotient(L)
+    assert invariants._central_quotient(L) is Q
+    assert Q.structure_equals(core.quotient(L, center(L))[0])
+
+
+def test_paper_checks_build_one_quotient_per_algebra(monkeypatch):
+    algebras, quotients = [], []
+    make_corpus, quotient = verification.corpus, core.quotient
+
+    def recording_corpus(seed, size):
+        algebras.extend(make_corpus(seed, size))
+        return algebras
+
+    def counting_quotient(L, I):
+        quotients.append(L)
+        return quotient(L, I)
+
+    monkeypatch.setattr(verification, "corpus", recording_corpus)
+    monkeypatch.setattr(core, "quotient", counting_quotient)
+    results = verification.run_paper_checks(0, 40)
+    assert all(r.passed for r in results.values())
+    per_algebra = [sum(Q is L for Q in quotients) for L in algebras]
+    assert max(per_algebra) == 1 and sum(per_algebra) == len(algebras)
+
+
+def test_prop_3_1_fails_without_abelian_rows(monkeypatch):
+    table = verification.verify_theorem_table()
+    assert sum(row[0].startswith("Ab(") for row in table.rows) == 21
+    stripped = TableReport(rows=tuple(r for r in table.rows if not r[0].startswith("Ab(")),
+                           fingerprints_distinct=table.fingerprints_distinct)
+    monkeypatch.setattr(verification, "verify_theorem_table", lambda: stripped)
+    results = verification.run_paper_checks(0, 5)
+    assert not results["Prop 3.1"].passed
+    assert results["Theorem table"].passed
+
+
+@pytest.mark.parametrize("algebras", [MODELS, corpus(0, 20)], ids=["models", "corpus"])
+def test_direct_sum_matches_reference(algebras):
+    """Every ordered pair, a pair of an algebra with itself included, so
+    labels collide."""
+    for A in algebras:
+        for B in algebras:
+            got, want = direct_sum(A, B), reference.direct_sum(A, B)
+            assert got.structure_equals(want), (A.name, B.name)
+            assert (got.labels, got.name) == (want.labels, want.name)
+
+
+def test_direct_sum_renames_colliding_labels():
+    A = heisenberg_odd(1)
+    AA = direct_sum(A, A)
+    AAA = direct_sum(AA, A)
+    assert AAA.labels == reference.direct_sum(AA, A).labels
+    assert len(set(AAA.labels)) == AAA.dim
+    assert any(lab.endswith("''") for lab in AAA.labels)

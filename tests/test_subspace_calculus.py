@@ -19,6 +19,7 @@ from superlie.core import (
     derived_subalgebra,
     direct_sum,
     is_nilpotent,
+    lower_central_series,
     second_center,
     validate,
 )
@@ -73,6 +74,35 @@ def _homogeneous(draw, L, parity, count):
             v[i] = draw(st.one_of(st.just(F(0)), rational))
         out.append(tuple(v))
     return out
+
+
+@st.composite
+def vector_pairs(draw):
+    """An algebra and two coordinate vectors, mixed parity allowed, with
+    int or Fraction entries."""
+    L = draw(algebras)
+    entry = st.one_of(st.just(0), st.integers(-2, 2), rational)
+    x, y = (tuple(draw(entry) for _ in range(L.dim)) for _ in range(2))
+    return L, x, y
+
+
+@given(vector_pairs())
+def test_bracket_matches_reference(case):
+    """The sparse bracket behind ``bracket`` against the earlier dense loop,
+    entry types included."""
+    L, x, y = case
+    got = L.bracket(x, y)
+    assert got == reference.bracket(L, x, y)
+    assert all(type(c) is Fraction for c in got) and len(got) == L.dim
+
+
+@given(algebras)
+def test_lower_central_series_matches_reference_brackets(L):
+    series = lower_central_series(L)
+    full = Subspace.full(L)
+    for prev, nxt in zip(series, series[1:]):
+        assert nxt == Subspace.span(L, [reference.bracket(L, u, w)
+                                        for u in full.rows for w in prev.rows])
 
 
 @st.composite
