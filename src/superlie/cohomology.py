@@ -11,7 +11,6 @@ cover candidates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +21,7 @@ from .core import (
     LinearMap,
     Subspace,
     _sign,
+    _support_triples,
     derived_subalgebra,
     validate,
 )
@@ -104,9 +104,11 @@ def _cochain(L: LieSuperalgebra, parity: int, pairs, row: linalg.Row) -> Cochain
 
 def _cocycle_equations(L: LieSuperalgebra, parity: int, col):
     """Yield one sparse linear constraint per basis triple with total degree
-    π, over the free coordinates numbered by ``col``."""
+    π, over the free coordinates numbered by ``col``.  Triples outside
+    ``_support_triples`` have no nonzero inner bracket, so they give no
+    constraint and are not visited."""
     p = L.parities
-    for i, j, k in itertools.combinations_with_replacement(range(L.dim), 3):
+    for i, j, k in _support_triples(L):
         if (p[i] + p[j] + p[k]) % 2 != parity:
             continue
         row: linalg.Row = {}

@@ -42,21 +42,28 @@ def _strip_comment(line: str) -> str:
 
 
 def parse(text: str) -> LieSuperalgebra:
-    """Parse and validate a structure-constant file."""
+    """Parse and validate a structure-constant file.
+
+    Error locations are 1-based line and column numbers in the raw text."""
     name = None
     even: list[str] = []
     odd: list[str] = []
     seen_even = seen_odd = False
-    brackets: list[tuple[int, str, str, dict[str, Fraction]]] = []
+    # (line, column, identifier) of every declaration, in file order
+    declared: list[tuple[int, int, str]] = []
+    # (line, bracket column, lhs, rhs, combination, first column of each identifier)
+    brackets: list[tuple[int, int, str, str, dict[str, Fraction], dict[str, int]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = _strip_comment(raw).rstrip()
+        indent = len(line) - len(line.lstrip())
+        line = line[indent:]
         if not line:
             continue
         if name is None:
             m = _ALGEBRA_RE.match(line)
             if not m:
-                raise ParseError(lineno, 1, 'expected algebra "<name>"')
+                raise ParseError(lineno, indent + 1, 'expected algebra "<name>"')
             name = m.group(1)
             continue
         head, *tokens = re.finditer(r"\S+", line)
@@ -64,22 +71,26 @@ def parse(text: str) -> LieSuperalgebra:
             ids = [t.group() for t in tokens]
             for t in tokens:
                 if not re.fullmatch(_IDENT, t.group()):
-                    raise ParseError(lineno, t.start() + 1, f"bad identifier {t.group()!r}")
+                    raise ParseError(lineno, indent + t.start() + 1,
+                                     f"bad identifier {t.group()!r}")
             if head.group() == "even":
                 if seen_even:
-                    raise ParseError(lineno, 1, "duplicate even section")
+                    raise ParseError(lineno, indent + 1, "duplicate even section")
                 seen_even, even = True, ids
             else:
                 if seen_odd:
-                    raise ParseError(lineno, 1, "duplicate odd section")
+                    raise ParseError(lineno, indent + 1, "duplicate odd section")
                 seen_odd, odd = True, ids
+            declared += [(lineno, indent + t.start() + 1, t.group()) for t in tokens]
             continue
         m = _BRACKET_RE.match(line)
         if not m:
-            raise ParseError(lineno, 1, "expected a bracket line '[a,b] = ...'")
+            raise ParseError(lineno, indent + 1, "expected a bracket line '[a,b] = ...'")
         lhs, rhs, body = m.group(1), m.group(2), m.group(3)
+        columns = {lhs: indent + m.start(1) + 1}
+        columns.setdefault(rhs, indent + m.start(2) + 1)
         combo: dict[str, Fraction] = {}
-        term_start = m.start(3)
+        term_start = indent + m.start(3)
         for term in body.split("+"):
             tm = _TERM_RE.match(term)
             if not tm:
@@ -90,27 +101,30 @@ def parse(text: str) -> LieSuperalgebra:
             except ZeroDivisionError:
                 raise ParseError(lineno, term_start + tm.start(1) + 1,
                                  f"zero denominator in coefficient {tm.group(1)!r}") from None
-            term_start += len(term) + 1
             ident = tm.group(2)
+            columns.setdefault(ident, term_start + tm.start(2) + 1)
+            term_start += len(term) + 1
             combo[ident] = combo.get(ident, Fraction(0)) + coef
-        brackets.append((lineno, lhs, rhs, combo))
+        brackets.append((lineno, indent + 1, lhs, rhs, combo, columns))
 
     if name is None:
         raise ParseError(1, 1, "empty file")
 
+    seen: set[str] = set()
+    for lineno, column, ident in declared:
+        if ident in seen:
+            raise DuplicateIdentifier(lineno, column, f"identifier {ident!r} declared twice")
+        seen.add(ident)
     ids = even + odd
-    index: dict[str, int] = {}
-    for pos, ident in enumerate(ids):
-        if ident in index:
-            raise DuplicateIdentifier(1, 1, f"identifier {ident!r} declared twice")
-        index[ident] = pos
+    index = {ident: pos for pos, ident in enumerate(ids)}
     parities = [0] * len(even) + [1] * len(odd)
 
     consts: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for lineno, lhs, rhs, combo in brackets:
+    for lineno, column, lhs, rhs, combo, columns in brackets:
         for ident in (lhs, rhs, *combo):
             if ident not in index:
-                raise UnknownIdentifier(lineno, 1, f"unknown identifier {ident!r}")
+                raise UnknownIdentifier(lineno, columns[ident],
+                                        f"unknown identifier {ident!r}")
         i, j = index[lhs], index[rhs]
         vec = {index[t]: c for t, c in combo.items() if c != 0}
         if i > j:
@@ -120,7 +134,7 @@ def parse(text: str) -> LieSuperalgebra:
         if (i, j) in consts:
             if consts[(i, j)] != vec:
                 raise InconsistentBracket(
-                    lineno, 1, f"bracket [{lhs},{rhs}] conflicts with an earlier line")
+                    lineno, column, f"bracket [{lhs},{rhs}] conflicts with an earlier line")
             continue
         consts[(i, j)] = vec
     return validate(parities, consts, name=name, labels=ids)

@@ -61,16 +61,19 @@ class Echelon:
     every row is zero in every other pivot column.  Reduced echelon form is
     unique, so the rows are the canonical basis of the span whatever order
     the vectors arrived in.  Adding a vector costs one pass over the rows
-    whose pivots it touches, plus one pass clearing its new pivot column from
-    the other rows, so sparse rows stay cheap.
+    whose pivots it touches, plus one update of each stored row that holds
+    its new pivot column; a column index finds those rows without visiting
+    the others, so sparse rows stay cheap.
     """
 
-    __slots__ = ("_tails",)
+    __slots__ = ("_tails", "_where")
 
     def __init__(self, vectors=()):
         # pivot column -> the row's other entries, all in non-pivot columns;
         # the pivot entry itself is an implicit 1
         self._tails: dict[int, Row] = {}
+        # non-pivot column -> the pivots whose tails hold it (never empty)
+        self._where: dict[int, set[int]] = {}
         for v in vectors:
             self.add(v)
 
@@ -94,14 +97,29 @@ class Echelon:
         w = self.reduce(v)
         if not w:
             return None
-        tails = self._tails
+        tails, where = self._tails, self._where
         lead = min(w)
         inv = _ONE / w.pop(lead)
         tail = {c: inv * x for c, x in w.items()}
-        for row in tails.values():
-            f = row.pop(lead, None)
-            if f is not None:
-                _axpy(row, -f, tail)
+        for c in tail:
+            where.setdefault(c, set()).add(lead)
+        # clear the new pivot column from the rows that hold it, keeping the
+        # index in step with every fill-in and every cancellation
+        for p in where.pop(lead, ()):
+            row = tails[p]
+            f = -row.pop(lead)
+            for c, x in tail.items():
+                y = row.get(c)
+                if y is None:
+                    row[c] = f * x
+                    where[c].add(p)
+                else:
+                    y += f * x
+                    if y:
+                        row[c] = y
+                    else:
+                        del row[c]
+                        where[c].discard(p)  # the new row keeps where[c] nonempty
         tails[lead] = tail
         return {lead: _ONE, **tail}
 

@@ -1,18 +1,22 @@
 """The subspace calculus that ``superlie.core`` used before it ran on the
 one ``Echelon`` kernel, the quotient-based ``lambda_mu`` of
-``superlie.invariants``, and the dense ``LieSuperalgebra.bracket`` and
+``superlie.invariants``, the dense ``LieSuperalgebra.bracket`` and
 index-map ``direct_sum`` that ``superlie.core`` used before its one sparse
-bracket, kept word for word as the test reference.
+bracket, and the graded-Jacobi check and 2-cocycle equations of
+``superlie.core`` and ``superlie.cohomology`` that visited every sorted basis
+triple, kept word for word as the test reference.
 
-The bodies are unchanged (``bracket`` is the former method, with ``self``
-now the algebra argument); their ``linalg`` is the library's vector helpers
-with the elimination (``reduce_mod``, ``nullspace``) taken from the dense
-seed kernel in ``reference_linalg``.  Tests compare ``second_center``,
-``Subspace.intersection``, ``derived_subalgebra``, ``lambda_mu``, ``bracket``
-and ``direct_sum`` against these; nothing outside the tests imports this
-module.
+The bodies are unchanged (``bracket`` and ``check_jacobi`` are the former
+methods, with ``self`` now the algebra argument); their ``linalg`` is the
+library's vector helpers with the elimination (``reduce_mod``,
+``nullspace``) taken from the dense seed kernel in ``reference_linalg``.
+Tests compare ``second_center``, ``Subspace.intersection``,
+``derived_subalgebra``, ``lambda_mu``, ``bracket``, ``direct_sum``,
+``check_jacobi`` and ``cocycle_equations`` against these; nothing outside
+the tests imports this module.
 """
 
+import itertools
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -28,7 +32,7 @@ from superlie.core import (
     quotient,
     validate,
 )
-from superlie.errors import NonHomogeneous, NotInSecondCenterMinusCenter
+from superlie.errors import JacobiError, NonHomogeneous, NotInSecondCenterMinusCenter
 from superlie.superdim import SuperDim
 
 linalg = SimpleNamespace(
@@ -159,3 +163,44 @@ def direct_sum(A: LieSuperalgebra, B: LieSuperalgebra) -> LieSuperalgebra:
     for i, ni in bmap.items():
         labels[ni] = blabels[i]
     return validate(parities, consts, name=f"{A.name}+{B.name}", labels=labels)
+
+
+def check_jacobi(self):
+    # Graded skew-symmetry makes the cyclic Jacobi expression symmetric
+    # enough that sorted triples i <= j <= k cover all cases.
+    p = self.parities
+    for i, j, k in itertools.combinations_with_replacement(range(self.dim), 3):
+        res: dict[int, Fraction] = {}
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            s = _sign(p[a], p[c])
+            inner = self.basis_bracket(a, b)
+            for m, cm in inner.items():
+                outer = self.basis_bracket(m, c)
+                for t, ct in outer.items():
+                    res[t] = res.get(t, Fraction(0)) + s * cm * ct
+        res = {t: v for t, v in res.items() if v != 0}
+        if res:
+            raise JacobiError(i, j, k, res)
+
+
+def cocycle_equations(L: LieSuperalgebra, parity: int, col):
+    """Yield one sparse linear constraint per basis triple with total degree
+    π, over the free coordinates numbered by ``col``."""
+    p = L.parities
+    for i, j, k in itertools.combinations_with_replacement(range(L.dim), 3):
+        if (p[i] + p[j] + p[k]) % 2 != parity:
+            continue
+        row: _linalg.Row = {}
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            s = _sign(p[a], p[c])
+            for m, cm in L.basis_bracket(a, b).items():
+                # f(e_m, e_c) in terms of the free coordinates
+                if m == c and p[m] == 0:
+                    continue
+                if m <= c:
+                    key, val = col[(m, c)], s * cm
+                else:
+                    key, val = col[(c, m)], -_sign(p[m], p[c]) * s * cm
+                row[key] = row.get(key, 0) + val
+        if row:
+            yield row

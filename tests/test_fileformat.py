@@ -119,6 +119,45 @@ def test_parse_identifier_errors():
         parse('algebra "T"\neven x y\nodd\n[x,y] = q\n')
 
 
+@pytest.mark.parametrize("text,line,column", [
+    ('algebra "T"\neven a b\nodd a\n', 3, 5),
+    ('algebra "T"\n\neven x x\nodd\n', 3, 8),
+    ('algebra "T"\nodd a\n  even b a\n', 3, 10),
+])
+def test_duplicate_identifier_points_at_the_second_declaration(text, line, column):
+    with pytest.raises(DuplicateIdentifier) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("bracket,column", [
+    ("[a,q] = b", 4),
+    ("[q, a] = b", 2),
+    ("[a,b] = c + 2 q", 15),
+    ("\t[a,b] = q + c", 10),
+])
+def test_unknown_identifier_points_at_the_identifier(bracket, column):
+    with pytest.raises(UnknownIdentifier) as exc:
+        parse('algebra "T"\neven a b c\nodd\n' + bracket + "\n")
+    assert (exc.value.line, exc.value.column) == (4, column)
+    assert "'q'" in str(exc.value)
+
+
+def test_inconsistent_bracket_points_at_the_bracket_in_the_raw_line():
+    with pytest.raises(InconsistentBracket) as exc:
+        parse('algebra "T"\neven x y z\nodd\n[x,y] = z\n   [y,x] = z  # again\n')
+    assert (exc.value.line, exc.value.column) == (5, 4)
+
+
+def test_parse_errors_count_leading_whitespace():
+    with pytest.raises(ParseError) as exc:
+        parse('algebra "T"\n  even x1a 1a\n')
+    assert (exc.value.line, exc.value.column) == (2, 12)
+    with pytest.raises(ParseError) as exc:
+        parse('algebra "T"\neven a b c\nodd\n    [a,b] = c + ?\n')
+    assert (exc.value.line, exc.value.column) == (4, 17)
+
+
 def test_parse_mathematical_invalidity_propagates():
     with pytest.raises(GradingError):
         parse('algebra "T"\neven x y\nodd w\n[x,y] = w\n')

@@ -185,3 +185,22 @@ def test_reduce_matches_reference(m, data):
     assert len(ech) == len(basis)  # reduce does not insert v
     assert linalg.reduce_mod(v, basis) == expected
     assert linalg.in_span(v, basis) == linalg.is_zero(expected)
+
+
+def _rebuilt_index(ech):
+    where = {}
+    for p, tail in ech._tails.items():
+        for c in tail:
+            where.setdefault(c, set()).add(p)
+    return where
+
+
+@given(matrices())
+def test_echelon_column_index_tracks_the_tails(m):
+    rows, ncols = m
+    ech, expected = linalg.Echelon(), []
+    for v in rows:
+        ech.add(linalg.sparse(v))
+        expected = reference.rref(expected + [v])  # the rref of every row so far
+        assert ech._where == _rebuilt_index(ech)
+        assert ech.dense(ncols) == expected

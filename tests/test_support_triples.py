@@ -1,0 +1,142 @@
+"""The sparse triple enumerator ``core._support_triples`` against the checks
+that visited every sorted basis triple (``reference_core``): the same
+Jacobi verdicts with the same first failing triple, the same 2-cocycle
+equations in the same order, and the same cocycle bases."""
+
+import itertools
+import random
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+
+import reference_core as reference
+from superlie import cohomology, core
+from superlie.constructions import (
+    abelian,
+    free_two_step_cover,
+    heisenberg_even,
+    heisenberg_odd,
+    model_registry,
+)
+from superlie.corpus import corpus
+from superlie.errors import JacobiError
+from superlie.linalg import Echelon, invert
+
+F = Fraction
+
+
+def _rational_base_change(rng, L):
+    """A random invertible parity-preserving matrix with non-unit
+    denominators; the conjugate's constants are dense."""
+    d = L.dim
+    while True:
+        P = [[F(rng.randint(-3, 3), rng.randint(1, 3)) if L.parities[i] == L.parities[j]
+              else F(0) for j in range(d)] for i in range(d)]
+        try:
+            invert(P)
+            return P
+        except ValueError:
+            continue
+
+
+def _algebras():
+    rng = random.Random(6)
+    models = model_registry() + [heisenberg_even(3, 2), heisenberg_odd(3), abelian(2, 1),
+                                 free_two_step_cover(2, 1).K]
+    dense = [core.change_basis(L, _rational_base_change(rng, L)) for L in model_registry()]
+    return models + corpus(0, 60) + dense
+
+
+ALGEBRAS = _algebras()
+
+
+def _jacobi_term(L, i, j, k):
+    p = L.parities
+    res = {}
+    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+        for m, cm in L.basis_bracket(a, b).items():
+            for t, ct in L.basis_bracket(m, c).items():
+                res[t] = res.get(t, 0) + core._sign(p[a], p[c]) * cm * ct
+    return {t: v for t, v in res.items() if v}
+
+
+def _cols(L, parity):
+    return {pair: c for c, pair in enumerate(cohomology.cochain_pairs(L, parity))}
+
+
+@pytest.mark.parametrize("L", ALGEBRAS, ids=lambda L: f"{L.name}-{L.dim}")
+def test_support_triples_are_the_sorted_triples_touching_a_stored_key(L):
+    table = L._table
+    expected = [(i, j, k) for i, j, k in itertools.combinations_with_replacement(range(L.dim), 3)
+                if (i, j) in table or (j, k) in table or (i, k) in table]
+    assert list(core._support_triples(L)) == expected
+
+
+@pytest.mark.parametrize("L", ALGEBRAS, ids=lambda L: f"{L.name}-{L.dim}")
+def test_omitted_triples_have_no_jacobi_term_and_no_equation(L):
+    kept = set(core._support_triples(L))
+    for i, j, k in itertools.combinations_with_replacement(range(L.dim), 3):
+        if (i, j, k) not in kept:
+            # both the Jacobi term and the cocycle equation sum over these
+            assert L.basis_bracket(i, j) == L.basis_bracket(j, k) == L.basis_bracket(k, i) == {}
+            assert _jacobi_term(L, i, j, k) == {}
+
+
+@pytest.mark.parametrize("L", ALGEBRAS, ids=lambda L: f"{L.name}-{L.dim}")
+def test_cocycle_equations_and_basis_match_reference(L):
+    for parity in (0, 1):
+        col = _cols(L, parity)
+        assert (list(cohomology._cocycle_equations(L, parity, col))
+                == list(reference.cocycle_equations(L, parity, col)))
+        ref = Echelon(Echelon(reference.cocycle_equations(L, parity, col)).kernel_basis(len(col)))
+        assert cohomology._cocycle_basis(L, parity, col) == ref.rows()
+
+
+def _perturb(rng, L):
+    """L's raw data with one structure constant changed or one added,
+    keeping the grading: the new coefficient is on a target of the
+    bracket's parity."""
+    consts = {key: dict(vec) for key, vec in L.constants}
+    p = L.parities
+    pairs = [(i, j) for i in range(L.dim) for j in range(i, L.dim)
+             if not (i == j and p[i] == 0)]
+    if not pairs:
+        return None
+    i, j = rng.choice(list(consts) if consts and rng.random() < 0.5 else pairs)
+    targets = [k for k in range(L.dim) if p[k] == (p[i] + p[j]) % 2]
+    if not targets:
+        return None
+    k = rng.choice(targets)
+    vec = consts.setdefault((i, j), {})
+    vec[k] = vec.get(k, 0) + F(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2))
+    return consts
+
+
+def _first_failure(check, L):
+    try:
+        check(L)
+    except JacobiError as exc:
+        return exc.i, exc.j, exc.k, exc.residual
+    return None
+
+
+def test_perturbed_algebras_fail_on_the_reference_triple():
+    rng = random.Random(7)
+    failures = 0
+    for L in ALGEBRAS:
+        for _ in range(3):
+            consts = _perturb(rng, L)
+            if consts is None:
+                continue
+            # build the perturbed value without the construction-time check
+            with mock.patch.object(core.LieSuperalgebra, "_check_jacobi", lambda self: None):
+                bad = core.validate(L.parities, consts)
+            expected = _first_failure(reference.check_jacobi, bad)
+            assert _first_failure(core.LieSuperalgebra._check_jacobi, bad) == expected
+            failures += expected is not None
+            if expected is not None:
+                with pytest.raises(JacobiError) as exc:
+                    core.validate(L.parities, consts)
+                assert (exc.value.i, exc.value.j, exc.value.k) == expected[:3]
+    assert failures > len(ALGEBRAS)  # most perturbations break Jacobi
