@@ -146,12 +146,16 @@ class TableReport:
         return self.fingerprints_distinct and all(ok for *_, ok in self.rows)
 
 
-def verify_theorem_table(max_abelian_total: int = 5) -> TableReport:
+# the abelian grid of verify_theorem_table: every Ab(m, n) with m + n <= this
+_MAX_ABELIAN_TOTAL = 5
+
+
+def verify_theorem_table() -> TableReport:
     """Rebuild all five table families, recompute smr for each, and confirm
     the expected values; abelian algebras are sampled over a grid."""
     rows = []
-    for m in range(max_abelian_total + 1):
-        for n in range(max_abelian_total + 1 - m):
+    for m in range(_MAX_ABELIAN_TOTAL + 1):
+        for n in range(_MAX_ABELIAN_TOTAL + 1 - m):
             got = report(abelian(m, n)).smr
             rows.append((f"Ab({m},{n})", SuperDim(0, 0), got, got == SuperDim(0, 0)))
     for entry in TABLE[1:]:

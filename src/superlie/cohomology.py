@@ -61,6 +61,10 @@ class Cochain2:
                 raise InvalidParams(f"coordinate {key} not free for a parity-{self.parity} cochain")
             if c == 0:
                 raise InvalidParams("cochain values must be normalized (no zeros)")
+        # one value per coordinate, in cochain_pairs order, so that the values
+        # read as a sparse row over the pairs
+        if any(a >= b for (a, _), (b, _) in zip(self.values, self.values[1:])):
+            raise InvalidParams("cochain coordinates must be strictly increasing")
 
     def __call__(self, i: int, j: int) -> Fraction:
         """f(e_i, e_j) for any index order, via graded alternation."""
@@ -78,12 +82,6 @@ class Cochain2:
         table = dict(self.values)
         return tuple(table.get(p, Fraction(0)) for p in pairs)
 
-    @classmethod
-    def from_vector(cls, L: LieSuperalgebra, parity: int, vec: Vec) -> "Cochain2":
-        pairs = cochain_pairs(L, parity)
-        vals = tuple((p, c) for p, c in zip(pairs, vec) if c != 0)
-        return cls(L, parity, vals)
-
     def scale(self, c) -> "Cochain2":
         c = Fraction(c)
         return Cochain2(self.parent, self.parity,
@@ -92,19 +90,19 @@ class Cochain2:
     def plus(self, other: "Cochain2") -> "Cochain2":
         if other.parent != self.parent or other.parity != self.parity:
             raise InvalidParams("can only add cochains of equal parent and parity")
-        pairs = cochain_pairs(self.parent, self.parity)
-        vec = linalg.vec_add(self.as_vector(pairs), other.as_vector(pairs))
-        return Cochain2.from_vector(self.parent, self.parity, vec)
+        row = dict(self.values)
+        linalg._axpy(row, 1, dict(other.values))
+        return _cochain(self.parent, self.parity, row)
 
 
-def _cochain(L: LieSuperalgebra, parity: int, pairs, row: linalg.Row) -> Cochain2:
-    """The cochain whose free coordinates are a sparse row over ``pairs``."""
-    return Cochain2(L, parity, tuple((pairs[c], x) for c, x in sorted(row.items())))
+def _cochain(L: LieSuperalgebra, parity: int, row: linalg.Row) -> Cochain2:
+    """The cochain whose free coordinates are a sparse row over the pairs."""
+    return Cochain2(L, parity, tuple(sorted(row.items())))
 
 
-def _cocycle_equations(L: LieSuperalgebra, parity: int, col):
+def _cocycle_equations(L: LieSuperalgebra, parity: int):
     """Yield one sparse linear constraint per basis triple with total degree
-    π, over the free coordinates numbered by ``col``.  Triples outside
+    π, over the free coordinates (i, j).  Triples outside
     ``_support_triples`` have no nonzero inner bracket, so they give no
     constraint and are not visited."""
     p = L.parities
@@ -119,45 +117,41 @@ def _cocycle_equations(L: LieSuperalgebra, parity: int, col):
                 if m == c and p[m] == 0:
                     continue
                 if m <= c:
-                    key, val = col[(m, c)], s * cm
+                    key, val = (m, c), s * cm
                 else:
-                    key, val = col[(c, m)], -_sign(p[m], p[c]) * s * cm
+                    key, val = (c, m), -_sign(p[m], p[c]) * s * cm
                 row[key] = row.get(key, 0) + val
         if row:
             yield row
 
 
-def _cocycle_basis(L: LieSuperalgebra, parity: int, col) -> list[linalg.Row]:
+def _cocycle_basis(L: LieSuperalgebra, parity: int) -> list[linalg.Row]:
     """Canonical echelon basis of the parity-π cocycles, as sparse rows."""
-    equations = linalg.Echelon(_cocycle_equations(L, parity, col))
-    return linalg.Echelon(equations.kernel_basis(len(col))).rows()
+    equations = linalg.Echelon(_cocycle_equations(L, parity))
+    return linalg.Echelon(equations.kernel_basis(cochain_pairs(L, parity))).rows()
 
 
 def cocycle_space(L: LieSuperalgebra, parity: int) -> list[Cochain2]:
     """Canonical basis of the parity-π 2-cocycles."""
-    pairs = cochain_pairs(L, parity)
-    col = {p: c for c, p in enumerate(pairs)}
-    return [_cochain(L, parity, pairs, r) for r in _cocycle_basis(L, parity, col)]
+    return [_cochain(L, parity, r) for r in _cocycle_basis(L, parity)]
 
 
-def _coboundaries(L: LieSuperalgebra, parity: int, col) -> linalg.Echelon:
+def _coboundaries(L: LieSuperalgebra, parity: int) -> linalg.Echelon:
     """Echelon of the coboundaries (x, y) -> -g([x, y]), one row per
     parity-π coordinate functional g."""
-    rows: dict[int, linalg.Row] = {k: {} for k in range(L.dim) if L.parities[k] == parity}
-    for key, vec in L.constants:
-        c = col.get(key)
-        if c is not None:
+    p = L.parities
+    rows: dict[int, linalg.Row] = {k: {} for k in range(L.dim) if p[k] == parity}
+    for (i, j), vec in L.constants:
+        if (p[i] + p[j]) % 2 == parity:
             # grading puts every k of a parity-π pair's bracket in ``rows``
             for k, x in vec:
-                rows[k][c] = -x
+                rows[k][(i, j)] = -x
     return linalg.Echelon(rows.values())
 
 
 def coboundary_space(L: LieSuperalgebra, parity: int) -> list[Cochain2]:
     """Canonical basis of {(x,y) -> -g([x,y])} over parity-π functionals g."""
-    pairs = cochain_pairs(L, parity)
-    col = {p: c for c, p in enumerate(pairs)}
-    return [_cochain(L, parity, pairs, r) for r in _coboundaries(L, parity, col).rows()]
+    return [_cochain(L, parity, r) for r in _coboundaries(L, parity).rows()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,17 +167,15 @@ def multiplier(L: LieSuperalgebra) -> MultiplierResult:
     with canonical class representatives."""
     z_dims, b_dims, reps = [], [], []
     for parity in (0, 1):
-        pairs = cochain_pairs(L, parity)
-        col = {p: c for c, p in enumerate(pairs)}
-        zbasis = _cocycle_basis(L, parity, col)
+        zbasis = _cocycle_basis(L, parity)
         # B² plus the representatives so far, in one growing echelon
-        acc = _coboundaries(L, parity, col)
+        acc = _coboundaries(L, parity)
         z_dims.append(len(zbasis))
         b_dims.append(len(acc))
         for zv in zbasis:
             resid = acc.add(zv)
             if resid is not None:
-                reps.append(_cochain(L, parity, pairs, resid))
+                reps.append(_cochain(L, parity, resid))
     return MultiplierResult(
         sdim_Z2=SuperDim(z_dims[0], z_dims[1]),
         sdim_B2=SuperDim(b_dims[0], b_dims[1]),
@@ -220,10 +212,9 @@ def central_extension(L: LieSuperalgebra, chosen) -> CentralExtension:
         if f.parent != L:
             raise InvalidParams("cochain belongs to a different algebra")
     for parity in (0, 1):
-        col = {p: c for c, p in enumerate(cochain_pairs(L, parity))}
-        acc = _coboundaries(L, parity, col)
+        acc = _coboundaries(L, parity)
         for f in chosen:
-            if f.parity == parity and acc.add({col[p]: c for p, c in f.values}) is None:
+            if f.parity == parity and acc.add(dict(f.values)) is None:
                 raise DependentClasses("chosen classes are dependent modulo coboundaries")
 
     even_new = [f for f in chosen if f.parity == 0]
@@ -235,19 +226,16 @@ def central_extension(L: LieSuperalgebra, chosen) -> CentralExtension:
     def embed(i: int) -> int:
         return i if i < ne else i + ce
 
-    gen_pos = {}
-    for t, f in enumerate(even_new):
-        gen_pos[id(f)] = ne + t
-    for t, f in enumerate(odd_new):
-        gen_pos[id(f)] = ne + ce + no + t
+    # the new generator of ordered[t] sits at gen_pos[t]
+    gen_pos = [*range(ne, ne + ce), *range(ne + ce + no, ne + ce + no + co)]
 
     parities = [0] * (ne + ce) + [1] * (no + co)
     # embed is increasing, so stored keys (i, j), i <= j, stay ordered
     consts = {(embed(i), embed(j)): {embed(k): c for k, c in vec}
               for (i, j), vec in L.constants}
-    for f in ordered:
+    for f, g in zip(ordered, gen_pos):
         for (i, j), c in f.values:
-            consts.setdefault((embed(i), embed(j)), {})[gen_pos[id(f)]] = c
+            consts.setdefault((embed(i), embed(j)), {})[g] = c
 
     used = set(L.labels)
     clabels = []
@@ -261,11 +249,11 @@ def central_extension(L: LieSuperalgebra, chosen) -> CentralExtension:
     labels = [""] * len(parities)
     for i in range(L.dim):
         labels[embed(i)] = L.labels[i]
-    for t, f in enumerate(ordered):
-        labels[gen_pos[id(f)]] = clabels[t]
+    for g, label in zip(gen_pos, clabels):
+        labels[g] = label
 
     K = validate(parities, consts, name=f"Ext({L.name})", labels=labels)
-    M = Subspace.span(K, [K.basis_vector(gen_pos[id(f)]) for f in ordered])
+    M = Subspace.span(K, [K.basis_vector(g) for g in gen_pos])
     stem_ok = derived_subalgebra(K).contains_subspace(M)
     # K = L ⊕ M as spaces, so projecting to L reads off the embedded coordinates
     proj = LinearMap(tuple(K.basis_vector(embed(i)) for i in range(L.dim)))

@@ -290,9 +290,9 @@ class Subspace:
         """Intersection, as the annihilator of the sum of the two
         annihilators.  Annihilators of homogeneous subspaces are homogeneous."""
         self._check_parent(other)
-        d = self.parent.dim
-        ann = linalg.Echelon(self._echelon.kernel_basis(d) + other._echelon.kernel_basis(d))
-        return Subspace._span_rows(self.parent, ann.kernel_basis(d))
+        cols = range(self.parent.dim)
+        ann = linalg.Echelon(self._echelon.kernel_basis(cols) + other._echelon.kernel_basis(cols))
+        return Subspace._span_rows(self.parent, ann.kernel_basis(cols))
 
     def _check_parent(self, other: "Subspace"):
         if self.parent is not other.parent and self.parent != other.parent:
@@ -380,36 +380,36 @@ def derived_subalgebra(L: LieSuperalgebra) -> Subspace:
         L, (dict(vec) for _, vec in L.constants)))
 
 
-def _ad_kernel(L: LieSuperalgebra, targets: list[Vec], modulo: Subspace) -> Subspace:
-    """{x : [x, t] in modulo for every t in targets}, solved per parity.
+def _ad_kernel(L: LieSuperalgebra, targets: list[linalg.Row], modulo: Subspace) -> Subspace:
+    """{x : [x, t] in modulo for every t in targets}, for homogeneous
+    targets and a homogeneous ``modulo``.
 
     The residual of [x, t] modulo ``modulo`` is linear in x, so each
-    (target, coordinate) of it is one sparse equation over the coefficients
-    of the parity-par basis elements.
+    (target, coordinate k) of it is one sparse equation over x's coordinates
+    on L's basis.  [e_i, t] has parity |e_i| + |t|, and reducing it modulo a
+    homogeneous subspace keeps that parity, so the e_i in one equation all
+    have parity |e_k| + |t|.  Each echelon row, and so each kernel vector,
+    then has coordinates of one parity only: the kernel basis is
+    homogeneous.
     """
     ech = modulo._echelon
-    support = [linalg.sparse(t) for t in targets]
-    rows_by_parity = []
-    for par in (0, 1):
-        cols = [i for i in range(L.dim) if L.parities[i] == par]
-        eqs: dict[tuple[int, int], linalg.Row] = {}
-        for c, i in enumerate(cols):
-            for t_idx, t in enumerate(support):
-                for k, x in ech.reduce(_bracket(L, {i: 1}, t)).items():
-                    eqs.setdefault((t_idx, k), {})[c] = x
-        # the kernel basis is not canonical yet; the rref of its embedding is
-        rows = []
-        for coeffs in linalg.Echelon(eqs.values()).kernel_basis(len(cols)):
-            v = [Fraction(0)] * L.dim
-            for c, a in coeffs.items():
-                v[cols[c]] = a
-            rows.append(tuple(v))
-        rows_by_parity.append(tuple(linalg.rref(rows)))
-    return Subspace(L, rows_by_parity[0], rows_by_parity[1])
+    eqs: dict[tuple[int, int], linalg.Row] = {}
+    for i in range(L.dim):
+        for t_idx, t in enumerate(targets):
+            for k, x in ech.reduce(_bracket(L, {i: 1}, t)).items():
+                eqs.setdefault((t_idx, k), {})[i] = x
+    kernel = linalg.Echelon(eqs.values()).kernel_basis(range(L.dim))
+    # The kernel basis is not canonical yet; its rref is, with the even rows
+    # first.  Echelon(kernel).dense would do, but this stays the library's one
+    # linalg.rref call: bench/test_bench.py requires a traced rref call, until
+    # the benchmark traces Echelon itself (ROADMAP item 1).
+    rows = linalg.rref([linalg._dense(v, L.dim) for v in kernel])
+    even = tuple(r for r in rows if any(r[:L.n_even]))
+    return Subspace(L, even, tuple(rows[len(even):]))
 
 
-def _basis(L: LieSuperalgebra) -> list[Vec]:
-    return [L.basis_vector(i) for i in range(L.dim)]
+def _basis(L: LieSuperalgebra) -> list[linalg.Row]:
+    return [{i: 1} for i in range(L.dim)]
 
 
 def center(L: LieSuperalgebra) -> Subspace:
@@ -420,7 +420,7 @@ def centralizer(L: LieSuperalgebra, z: Vec) -> Subspace:
     """Kernel of x -> [x, z] for a nonzero homogeneous z."""
     if L.vector_parity(z) is None:
         raise NonHomogeneous("centralizer requires a nonzero homogeneous element")
-    return _ad_kernel(L, [z], Subspace.zero(L))
+    return _ad_kernel(L, [linalg.sparse(z)], Subspace.zero(L))
 
 
 def second_center(L: LieSuperalgebra) -> Subspace:

@@ -8,23 +8,26 @@ fully reduced with pivots normalized to 1 and rows ordered by pivot column,
 so a subspace has exactly one matrix representation and subspace equality is
 syntactic.
 
-``rref``, ``rank``, ``nullspace``, ``reduce_mod`` and ``in_span`` are thin
-wrappers over the kernel that take and return dense row vectors (tuples of
-Fraction); ``invert`` and the vector helpers work on dense vectors too.
+A column label is any totally ordered hashable value, and the order of the
+labels is the column order: callers eliminate in their own coordinates, such
+as basis indices i or the cochain pairs (i, j), with no translation to
+positions and back.
+
+``rref``, ``rank``, ``nullspace`` and ``reduce_mod`` are thin wrappers over
+the kernel that take and return dense row vectors (tuples of Fraction), with
+columns labelled 0, 1, ...; ``invert`` and the vector helpers work on dense
+vectors too.
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable
 from fractions import Fraction
 
 Vec = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def zero_vec(n: int) -> Vec:
-    return (_ZERO,) * n
 
 
 def unit_vec(n: int, i: int) -> Vec:
@@ -34,19 +37,14 @@ def unit_vec(n: int, i: int) -> Vec:
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
 
 def vec_scale(c: Fraction, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 
 
-def is_zero(a: Vec) -> bool:
-    return not any(a)
-
-
-Row = dict[int, Fraction]  # sparse row: column -> nonzero entry
+# sparse row: column label -> nonzero entry; a dense vector's labels are its
+# positions
+Row = dict[Hashable, Fraction]
 
 
 def sparse(v: Vec) -> Row:
@@ -71,9 +69,9 @@ class Echelon:
     def __init__(self, vectors=()):
         # pivot column -> the row's other entries, all in non-pivot columns;
         # the pivot entry itself is an implicit 1
-        self._tails: dict[int, Row] = {}
+        self._tails: dict[Hashable, Row] = {}
         # non-pivot column -> the pivots whose tails hold it (never empty)
-        self._where: dict[int, set[int]] = {}
+        self._where: dict[Hashable, set] = {}
         for v in vectors:
             self.add(v)
 
@@ -132,16 +130,17 @@ class Echelon:
         """The canonical basis as dense rows of length ncols."""
         return [_dense({p: _ONE, **self._tails[p]}, ncols) for p in sorted(self._tails)]
 
-    def kernel_basis(self, ncols: int) -> list[Row]:
-        """A basis of {x : r . x = 0 for every row r}: for each non-pivot
-        column c, the vector with 1 at c and minus row p's entry at c at each
-        pivot p.  It is not in echelon form; pass it to an Echelon for the
-        canonical one."""
-        neg: dict[int, Row] = {}
+    def kernel_basis(self, columns: Iterable[Hashable]) -> list[Row]:
+        """A basis of {x : r . x = 0 for every row r}, where x ranges over the
+        vectors on the labels ``columns``, which must hold every column the
+        rows use: for each non-pivot column c, in the order given, the vector
+        with 1 at c and minus row p's entry at c at each pivot p.  It is not
+        in echelon form; pass it to an Echelon for the canonical one."""
+        neg: dict[Hashable, Row] = {}
         for p, tail in self._tails.items():
             for c, x in tail.items():
                 neg.setdefault(c, {})[p] = -x
-        return [{c: _ONE, **neg.get(c, {})} for c in range(ncols) if c not in self._tails]
+        return [{c: _ONE, **neg.get(c, {})} for c in columns if c not in self._tails]
 
 
 def _dense(row: Row, ncols: int) -> Vec:
@@ -188,13 +187,9 @@ def reduce_mod(v: Vec, rref_rows) -> Vec:
     return _dense(Echelon(sparse(r) for r in rref_rows).reduce(sparse(v)), len(v))
 
 
-def in_span(v: Vec, rref_rows) -> bool:
-    return is_zero(reduce_mod(v, rref_rows))
-
-
 def nullspace(rows, ncols: int) -> list[Vec]:
     """Canonical echelon basis of {x : A x = 0} for A given by dense rows."""
-    kernel = Echelon(sparse(r) for r in rows).kernel_basis(ncols)
+    kernel = Echelon(sparse(r) for r in rows).kernel_basis(range(ncols))
     return Echelon(kernel).dense(ncols)
 
 

@@ -59,7 +59,11 @@ def expected_heisenberg_odd_multiplier(k: int) -> SuperDim:
     return SuperDim(k * k, k * k - 1)
 
 
-def _central_z2_samples(L, rng: random.Random, count: int = 2):
+# random combinations of two basis rows that _central_z2_samples tries per parity
+_Z2_MIXES = 2
+
+
+def _central_z2_samples(L, rng: random.Random):
     """Homogeneous representatives of Z₂(L) outside Z(L)."""
     Z = core.center(L)
     Z2 = core.second_center(L)
@@ -67,7 +71,7 @@ def _central_z2_samples(L, rng: random.Random, count: int = 2):
     for rows in (Z2.even_rows, Z2.odd_rows):
         rows = [r for r in rows if not Z.contains(r)]
         out.extend(rows)
-        for _ in range(count):
+        for _ in range(_Z2_MIXES):
             if len(rows) >= 2:
                 a, b = rng.sample(rows, 2)
                 v = linalg.vec_add(a, linalg.vec_scale(Fraction(rng.randint(1, 3)), b))

@@ -4,15 +4,18 @@ one ``Echelon`` kernel, the quotient-based ``lambda_mu`` of
 index-map ``direct_sum`` that ``superlie.core`` used before its one sparse
 bracket, and the graded-Jacobi check and 2-cocycle equations of
 ``superlie.core`` and ``superlie.cohomology`` that visited every sorted basis
-triple, kept word for word as the test reference.
+triple, and the dense ``Cochain2.plus`` of ``superlie.cohomology``, kept word
+for word as the test reference.
 
-The bodies are unchanged (``bracket`` and ``check_jacobi`` are the former
-methods, with ``self`` now the algebra argument); their ``linalg`` is the
-library's vector helpers with the elimination (``reduce_mod``,
-``nullspace``) taken from the dense seed kernel in ``reference_linalg``.
-Tests compare ``second_center``, ``Subspace.intersection``,
-``derived_subalgebra``, ``lambda_mu``, ``bracket``, ``direct_sum``,
-``check_jacobi`` and ``cocycle_equations`` against these; nothing outside
+The bodies are unchanged (``bracket``, ``check_jacobi`` and ``cochain_plus``
+are the former methods, with ``self`` now the first argument, and
+``cochain_plus`` calls the former ``Cochain2.from_vector`` classmethod as
+``cochain_from_vector``); their ``linalg`` is the library's vector helpers
+with ``zero_vec`` and the elimination (``reduce_mod``, ``nullspace``) taken
+from the dense seed kernel in ``reference_linalg``.  Tests compare
+``second_center``, ``Subspace.intersection``, ``derived_subalgebra``,
+``lambda_mu``, ``bracket``, ``direct_sum``, ``check_jacobi``,
+``cocycle_equations`` and ``Cochain2.plus`` against these; nothing outside
 the tests imports this module.
 """
 
@@ -23,6 +26,7 @@ from types import SimpleNamespace
 import reference_linalg
 from superlie import core
 from superlie import linalg as _linalg
+from superlie.cohomology import Cochain2, cochain_pairs
 from superlie.core import (
     LieSuperalgebra,
     Subspace,
@@ -32,11 +36,16 @@ from superlie.core import (
     quotient,
     validate,
 )
-from superlie.errors import JacobiError, NonHomogeneous, NotInSecondCenterMinusCenter
+from superlie.errors import (
+    InvalidParams,
+    JacobiError,
+    NonHomogeneous,
+    NotInSecondCenterMinusCenter,
+)
 from superlie.superdim import SuperDim
 
 linalg = SimpleNamespace(
-    zero_vec=_linalg.zero_vec,
+    zero_vec=reference_linalg.zero_vec,
     vec_add=_linalg.vec_add,
     vec_scale=_linalg.vec_scale,
     reduce_mod=reference_linalg.reduce_mod,
@@ -204,3 +213,17 @@ def cocycle_equations(L: LieSuperalgebra, parity: int, col):
                 row[key] = row.get(key, 0) + val
         if row:
             yield row
+
+
+def cochain_from_vector(L: LieSuperalgebra, parity: int, vec) -> Cochain2:
+    pairs = cochain_pairs(L, parity)
+    vals = tuple((p, c) for p, c in zip(pairs, vec) if c != 0)
+    return Cochain2(L, parity, vals)
+
+
+def cochain_plus(self, other):
+    if other.parent != self.parent or other.parity != self.parity:
+        raise InvalidParams("can only add cochains of equal parent and parity")
+    pairs = cochain_pairs(self.parent, self.parity)
+    vec = linalg.vec_add(self.as_vector(pairs), other.as_vector(pairs))
+    return cochain_from_vector(self.parent, self.parity, vec)

@@ -1,5 +1,7 @@
 """The dense elimination kernel that ``superlie.linalg`` used before its
-sparse incremental ``Echelon``, kept word for word as the test reference.
+sparse incremental ``Echelon``, kept word for word as the test reference,
+and the dense vector helpers ``zero_vec`` and ``is_zero`` that the library
+no longer has.
 
 Tests compare the library's ``rref``, ``nullspace`` and ``reduce_mod``
 against these on random rational matrices, and ``reference_core`` runs the
@@ -13,6 +15,14 @@ Vec = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def zero_vec(n: int) -> Vec:
+    return (_ZERO,) * n
+
+
+def is_zero(a: Vec) -> bool:
+    return not any(a)
 
 
 def rref(rows) -> list[Vec]:

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from superlie.cli import main
+from superlie.corpus import corpus
 from superlie.fileformat import emit
 from superlie.constructions import heisenberg_even
 
@@ -152,6 +154,32 @@ def test_multiplier_cocycles(capsys):
         for label_i, label_j, coef in c["entries"]:
             assert label_i in ("u1", "v1", "z") and label_j in ("u1", "v1", "z")
             assert coef  # rendered as a rational string
+
+
+# `multiplier --json --cocycles` stdout, frozen before the cochain
+# coordinates became the elimination kernel's column labels; the corpus
+# inputs are emitted corpus(0, 40) algebras with fractional constants
+FROZEN_MULTIPLIER = json.loads((Path(__file__).parent / "multiplier_cocycles.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_MULTIPLIER))
+def test_multiplier_cocycles_stdout_is_frozen(name, tmp_path, capsys):
+    case = FROZEN_MULTIPLIER[name]
+    if "file" in case:
+        f = tmp_path / "input.lsa"
+        f.write_text(case["file"])
+        source = [str(f)]
+    else:
+        source = ["--builtin", name]
+    assert main(["multiplier", *source, "--json", "--cocycles"]) == 0
+    assert capsys.readouterr().out == case["stdout"]
+
+
+def test_frozen_multiplier_inputs_are_the_corpus_algebras():
+    algebras = corpus(0, 40)
+    for case in FROZEN_MULTIPLIER.values():
+        if "file" in case:
+            assert emit(algebras[case["corpus_index"]]) == case["file"]
 
 
 def test_classify_table_row(capsys):
