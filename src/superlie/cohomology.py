@@ -20,6 +20,8 @@ from .core import (
     LieSuperalgebra,
     LinearMap,
     Subspace,
+    _free_pairs,
+    _orient,
     _sign,
     _support_triples,
     derived_subalgebra,
@@ -31,16 +33,10 @@ from .superdim import SuperDim
 
 
 def cochain_pairs(L: LieSuperalgebra, parity: int) -> list[tuple[int, int]]:
-    """Free coordinates of a parity-π 2-cochain: ordered pairs (i, j) with
-    i <= j, diagonal only for odd e_i, and |e_i| + |e_j| = π."""
-    out = []
-    for i in range(L.dim):
-        for j in range(i, L.dim):
-            if i == j and L.parities[i] == 0:
-                continue
-            if (L.parities[i] + L.parities[j]) % 2 == parity:
-                out.append((i, j))
-    return out
+    """Free coordinates of a parity-π 2-cochain: the free pairs (i, j) of
+    ``_free_pairs`` with |e_i| + |e_j| = π."""
+    p = L.parities
+    return [(i, j) for i, j in _free_pairs(p) if (p[i] + p[j]) % 2 == parity]
 
 
 @dataclass(frozen=True)
@@ -56,7 +52,7 @@ class Cochain2:
         p = self.parent.parities
         for key, c in self.values:
             i, j = key
-            if (not 0 <= i <= j < len(p) or (i == j and p[i] == 0)
+            if (not 0 <= i <= j < len(p) or _orient(p, i, j) is None
                     or (p[i] + p[j]) % 2 != self.parity):
                 raise InvalidParams(f"coordinate {key} not free for a parity-{self.parity} cochain")
             if c == 0:
@@ -68,13 +64,8 @@ class Cochain2:
 
     def __call__(self, i: int, j: int) -> Fraction:
         """f(e_i, e_j) for any index order, via graded alternation."""
-        table = dict(self.values)
-        if i == j and self.parent.parities[i] == 0:
-            return Fraction(0)
-        if i <= j:
-            return table.get((i, j), Fraction(0))
-        s = -_sign(self.parent.parities[i], self.parent.parities[j])
-        return s * table.get((j, i), Fraction(0))
+        key, s = _orient(self.parent.parities, i, j) or (None, 0)
+        return s * dict(self.values).get(key, Fraction(0))
 
     def as_vector(self, pairs=None) -> Vec:
         if pairs is None:
@@ -113,14 +104,10 @@ def _cocycle_equations(L: LieSuperalgebra, parity: int):
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
             s = _sign(p[a], p[c])
             for m, cm in L.basis_bracket(a, b).items():
-                # f(e_m, e_c) in terms of the free coordinates
-                if m == c and p[m] == 0:
-                    continue
-                if m <= c:
-                    key, val = (m, c), s * cm
-                else:
-                    key, val = (c, m), -_sign(p[m], p[c]) * s * cm
-                row[key] = row.get(key, 0) + val
+                # f(e_m, e_c) in terms of the free coordinates (0 for an even m == c)
+                key, t = _orient(p, m, c) or (None, 0)
+                if t:
+                    row[key] = row.get(key, 0) + t * s * cm
         if row:
             yield row
 

@@ -2,9 +2,10 @@
 
 An algebra is an ordered homogeneous basis (all even elements before all odd
 ones) together with a table of structure constants for ordered index pairs
-(i, j), i <= j; brackets for i > j are derived from graded skew-symmetry and
-are never stored.  Every construction path runs the grading and graded-Jacobi
-checks, so any in-memory algebra value satisfies the axioms.
+(i, j), i <= j.  ``_orient`` and ``_free_pairs`` are the one place that knows
+this graded-alternating convention; brackets, cochains and the parser all use
+them.  Every construction path runs the grading and graded-Jacobi checks, so
+any in-memory algebra value satisfies the axioms.
 
 All computations happen over the rationals.  Every quantity exposed here is a
 rank of a rational matrix, and matrix rank does not change under field
@@ -37,7 +38,23 @@ Coeffs = tuple[tuple[int, Fraction], ...]
 
 
 def _sign(p: int, q: int) -> int:
+    """(-1)^(pq), the sign of the cyclic Jacobi and cocycle terms."""
     return -1 if (p and q) else 1
+
+
+def _orient(parities, i: int, j: int) -> tuple[tuple[int, int], int] | None:
+    """((a, b), s) with a <= b and x(e_i, e_j) = s * x(e_a, e_b) for every
+    graded alternating x (the bracket, a 2-cochain), as x(e_j, e_i) =
+    -(-1)^(|i||j|) x(e_i, e_j).  None for i == j even, where x vanishes."""
+    if i > j:
+        return (j, i), (1 if parities[i] and parities[j] else -1)
+    return None if i == j and not parities[i] else ((i, j), 1)
+
+
+def _free_pairs(parities) -> list[tuple[int, int]]:
+    """The keys ``_orient`` returns, sorted: a < b, or a == b for odd e_a."""
+    d = len(parities)
+    return [(i, j) for i in range(d) for j in range(i, d) if i < j or parities[i]]
 
 
 def _support_triples(L: LieSuperalgebra):
@@ -52,7 +69,7 @@ def _support_triples(L: LieSuperalgebra):
     """
     d = L.dim
     up: list[list[int]] = [[] for _ in range(d)]  # up[a]: every b with (a, b) stored
-    for a, b in sorted(L._table):
+    for (a, b), _ in L.constants:  # strictly increasing keys
         up[a].append(b)
     for i in range(d):
         ui, t = up[i], 0
@@ -96,16 +113,16 @@ class LieSuperalgebra:
 
     def _check_storage(self):
         d = len(self.parities)
-        seen = set()
+        keys = [key for key, _ in self.constants]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise InvalidParams("constant keys must be strictly increasing")
         for (i, j), vec in self.constants:
             if not (0 <= i <= j < d):
                 raise InvalidParams(f"bad constant key ({i},{j})")
-            if (i, j) in seen:
-                raise InvalidParams(f"duplicate constant key ({i},{j})")
-            seen.add((i, j))
-            if i == j and self.parities[i] == 0 and vec:
+            if _orient(self.parities, i, j) is None:
                 raise InvalidParams(f"[e{i},e{i}] must vanish for even e{i}")
-            if list(vec) != sorted(vec) or any(c == 0 for _, c in vec):
+            if (not vec or any(c == 0 for _, c in vec)
+                    or any(a >= b for (a, _), (b, _) in zip(vec, vec[1:]))):
                 raise InvalidParams(f"constant vector for ({i},{j}) is not normalized")
             if any(not (0 <= k < d) for k, _ in vec):
                 raise InvalidParams(f"constant vector for ({i},{j}) has an out-of-range index")
@@ -160,31 +177,28 @@ class LieSuperalgebra:
 
     @cached_property
     def _table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        return {key: dict(vec) for key, vec in self.constants}
+        """Every nonzero [e_i, e_j], stored under both (i, j) and (j, i)."""
+        table = {}
+        for (i, j), vec in self.constants:  # an odd [e_i, e_i] has s = 1, one key
+            _, s = _orient(self.parities, j, i)
+            table[i, j], table[j, i] = dict(vec), {k: s * c for k, c in vec}
+        return table
 
     def basis_bracket(self, i: int, j: int) -> dict[int, Fraction]:
-        """[e_i, e_j] as a sparse coordinate dict, any index order."""
-        if i == j and self.parities[i] == 0:
-            return {}
-        if i <= j:
-            return self._table.get((i, j), {})
-        stored = self._table.get((j, i), {})
-        s = -_sign(self.parities[i], self.parities[j])
-        return {k: s * c for k, c in stored.items()}
+        """[e_i, e_j] as a shared (read-only) sparse dict, any index order."""
+        return self._table.get((i, j), {})
 
     def basis_vector(self, i: int) -> Vec:
         return linalg.unit_vec(self.dim, i)
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
         """Bilinear extension of the basis bracket to coordinate vectors."""
-        return linalg._dense(_bracket(self, linalg.sparse(x), linalg.sparse(y)), self.dim)
+        return linalg._dense(_bracket(self, _row(self, x), _row(self, y)), self.dim)
 
     def vector_parity(self, v: Vec) -> int | None:
         """Parity of a homogeneous coordinate vector, None if mixed or zero."""
-        seen = {self.parities[i] for i, x in enumerate(v) if x != 0}
-        if len(seen) == 1:
-            return seen.pop()
-        return None
+        seen = {self.parities[i] for i in _row(self, v)}
+        return seen.pop() if len(seen) == 1 else None
 
     def even_indices(self) -> list[int]:
         return [i for i, p in enumerate(self.parities) if p == 0]
@@ -195,6 +209,13 @@ class LieSuperalgebra:
     def structure_equals(self, other: "LieSuperalgebra") -> bool:
         """Same basis parities and identical structure constants."""
         return self.parities == other.parities and self.constants == other.constants
+
+
+def _row(L: LieSuperalgebra, v: Vec) -> linalg.Row:
+    """The sparse row of a dense coordinate vector of L."""
+    if len(v) != L.dim:
+        raise InvalidParams(f"vector has {len(v)} coordinates, the algebra has dimension {L.dim}")
+    return linalg.sparse(v)
 
 
 def validate(parities, constants, name: str = "L", labels=None) -> LieSuperalgebra:
@@ -241,7 +262,7 @@ class Subspace:
         A vector with both even and odd nonzero coordinates raises
         NonHomogeneous.  ``vectors`` may be any iterable; it is consumed once.
         """
-        return cls._span_rows(parent, (linalg.sparse(v) for v in vectors))
+        return cls._span_rows(parent, (_row(parent, v) for v in vectors))
 
     @classmethod
     def _span_rows(cls, parent: LieSuperalgebra, rows) -> "Subspace":
@@ -277,7 +298,7 @@ class Subspace:
         return self.even_rows + self.odd_rows
 
     def contains(self, v: Vec) -> bool:
-        return not self._echelon.reduce(linalg.sparse(v))
+        return not self._echelon.reduce(_row(self.parent, v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)
@@ -474,13 +495,10 @@ def quotient(L: LieSuperalgebra, I: Subspace) -> tuple[LieSuperalgebra, LinearMa
 
     proj_matrix = tuple(zip(*[project({i: Fraction(1)}) for i in range(L.dim)]))
     consts = {}
-    for a in range(len(comp)):
-        for b in range(a, len(comp)):
-            if a == b and qparities[a] == 0:
-                continue
-            w = project(L.basis_bracket(comp[a], comp[b]))
-            if any(w):
-                consts[(a, b)] = {k: c for k, c in enumerate(w)}
+    for a, b in _free_pairs(qparities):
+        w = project(L.basis_bracket(comp[a], comp[b]))
+        if any(w):
+            consts[(a, b)] = {k: c for k, c in enumerate(w)}
     qlabels = tuple(L.labels[c] for c in comp)
     Q = validate(qparities, consts, name=f"{L.name}/I", labels=qlabels)
     return Q, LinearMap(proj_matrix)
@@ -528,12 +546,8 @@ def change_basis(L: LieSuperalgebra, P) -> LieSuperalgebra:
         raise SingularMatrix(str(exc)) from exc
     cols = [tuple(P[i][a] for i in range(d)) for a in range(d)]
     consts = {}
-    for a in range(d):
-        for b in range(a, d):
-            if a == b and L.parities[a] == 0:
-                continue
-            v = L.bracket(cols[a], cols[b])
-            u = linalg.mat_vec(Pinv, v)
-            if any(u):
-                consts[(a, b)] = {k: c for k, c in enumerate(u)}
+    for a, b in _free_pairs(L.parities):
+        u = linalg.mat_vec(Pinv, L.bracket(cols[a], cols[b]))
+        if any(u):
+            consts[(a, b)] = {k: c for k, c in enumerate(u)}
     return validate(L.parities, consts, name=L.name, labels=L.labels)

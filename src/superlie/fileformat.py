@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .core import LieSuperalgebra, _sign, validate
+from .core import LieSuperalgebra, _orient, validate
 from .errors import (
     DuplicateIdentifier,
     InconsistentBracket,
@@ -126,11 +126,9 @@ def parse(text: str) -> LieSuperalgebra:
                 raise UnknownIdentifier(lineno, columns[ident],
                                         f"unknown identifier {ident!r}")
         i, j = index[lhs], index[rhs]
-        vec = {index[t]: c for t, c in combo.items() if c != 0}
-        if i > j:
-            s = -_sign(parities[i], parities[j])
-            i, j = j, i
-            vec = {k: s * c for k, c in vec.items()}
+        # an even [a,a] keeps its key, for validate to reject if nonzero
+        (i, j), s = _orient(parities, i, j) or ((i, j), 1)
+        vec = {index[t]: s * c for t, c in combo.items() if c != 0}
         if (i, j) in consts:
             if consts[(i, j)] != vec:
                 raise InconsistentBracket(

@@ -4,19 +4,23 @@ one ``Echelon`` kernel, the quotient-based ``lambda_mu`` of
 index-map ``direct_sum`` that ``superlie.core`` used before its one sparse
 bracket, and the graded-Jacobi check and 2-cocycle equations of
 ``superlie.core`` and ``superlie.cohomology`` that visited every sorted basis
-triple, and the dense ``Cochain2.plus`` of ``superlie.cohomology``, kept word
-for word as the test reference.
+triple, the dense ``Cochain2.plus`` of ``superlie.cohomology``, and the
+per-call graded skew-symmetry of ``LieSuperalgebra.basis_bracket``,
+``cochain_pairs`` and ``Cochain2.__call__`` (before the orientation rule moved
+into ``core._orient``), kept word for word as the test reference.
 
-The bodies are unchanged (``bracket``, ``check_jacobi`` and ``cochain_plus``
-are the former methods, with ``self`` now the first argument, and
+The bodies are unchanged (``bracket``, ``check_jacobi``, ``basis_bracket``
+and ``cochain_plus`` are the former methods, with ``self`` now the first
+argument, ``cochain_value`` is the former ``Cochain2.__call__``, and
 ``cochain_plus`` calls the former ``Cochain2.from_vector`` classmethod as
 ``cochain_from_vector``); their ``linalg`` is the library's vector helpers
 with ``zero_vec`` and the elimination (``reduce_mod``, ``nullspace``) taken
 from the dense seed kernel in ``reference_linalg``.  Tests compare
 ``second_center``, ``Subspace.intersection``, ``derived_subalgebra``,
 ``lambda_mu``, ``bracket``, ``direct_sum``, ``check_jacobi``,
-``cocycle_equations`` and ``Cochain2.plus`` against these; nothing outside
-the tests imports this module.
+``cocycle_equations``, ``Cochain2.plus``, ``basis_bracket``, ``cochain_pairs``
+and ``Cochain2.__call__`` against these; nothing outside the tests imports
+this module.
 """
 
 import itertools
@@ -26,7 +30,7 @@ from types import SimpleNamespace
 import reference_linalg
 from superlie import core
 from superlie import linalg as _linalg
-from superlie.cohomology import Cochain2, cochain_pairs
+from superlie.cohomology import Cochain2
 from superlie.core import (
     LieSuperalgebra,
     Subspace,
@@ -227,3 +231,38 @@ def cochain_plus(self, other):
     pairs = cochain_pairs(self.parent, self.parity)
     vec = linalg.vec_add(self.as_vector(pairs), other.as_vector(pairs))
     return cochain_from_vector(self.parent, self.parity, vec)
+
+
+def basis_bracket(self, i: int, j: int) -> dict[int, Fraction]:
+    """[e_i, e_j] as a sparse coordinate dict, any index order."""
+    if i == j and self.parities[i] == 0:
+        return {}
+    if i <= j:
+        return self._table.get((i, j), {})
+    stored = self._table.get((j, i), {})
+    s = -_sign(self.parities[i], self.parities[j])
+    return {k: s * c for k, c in stored.items()}
+
+
+def cochain_pairs(L: LieSuperalgebra, parity: int) -> list[tuple[int, int]]:
+    """Free coordinates of a parity-π 2-cochain: ordered pairs (i, j) with
+    i <= j, diagonal only for odd e_i, and |e_i| + |e_j| = π."""
+    out = []
+    for i in range(L.dim):
+        for j in range(i, L.dim):
+            if i == j and L.parities[i] == 0:
+                continue
+            if (L.parities[i] + L.parities[j]) % 2 == parity:
+                out.append((i, j))
+    return out
+
+
+def cochain_value(self, i: int, j: int) -> Fraction:
+    """f(e_i, e_j) for any index order, via graded alternation."""
+    table = dict(self.values)
+    if i == j and self.parent.parities[i] == 0:
+        return Fraction(0)
+    if i <= j:
+        return table.get((i, j), Fraction(0))
+    s = -_sign(self.parent.parities[i], self.parent.parities[j])
+    return s * table.get((j, i), Fraction(0))

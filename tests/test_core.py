@@ -36,6 +36,7 @@ from superlie.errors import (
     ParityMixing,
     SingularMatrix,
 )
+from superlie.invariants import lambda_mu
 from superlie.superdim import SuperDim, ZERO
 
 F = Fraction
@@ -104,6 +105,39 @@ def test_duplicate_key_rejected_on_raw_constructor():
         LieSuperalgebra((0, 0, 0), (((0, 1), vec), ((0, 1), vec)))
 
 
+@pytest.mark.parametrize("constants", [
+    # a repeated index: would store 2·e3 but emit "e3 + 2 e3", read back as 3·e3
+    (((0, 1), ((2, F(1)), (2, F(2)))),),
+    # L4's keys out of order: not structure_equals to validate's L4
+    (((0, 2), ((3, F(1)),)), ((0, 1), ((2, F(1)),))),
+    # an empty vector: would emit "[e1,e2] = ", which parse rejects
+    (((0, 1), ()),),
+    # an even diagonal with an empty vector
+    (((0, 0), ()),),
+], ids=["repeated-index", "unsorted-keys", "empty-vector", "empty-even-diagonal"])
+def test_noncanonical_constants_rejected_on_raw_constructor(constants):
+    with pytest.raises(InvalidParams):
+        LieSuperalgebra((0, 0, 0, 0), constants)
+
+
+def test_orient_covers_the_four_parity_cases():
+    p = (0, 0, 1, 1)
+    # even, even: antisymmetric, and an even diagonal is never free
+    assert core._orient(p, 0, 1) == ((0, 1), 1)
+    assert core._orient(p, 1, 0) == ((0, 1), -1)
+    assert core._orient(p, 0, 0) is None
+    # even, odd and odd, even: antisymmetric
+    assert core._orient(p, 1, 2) == ((1, 2), 1)
+    assert core._orient(p, 2, 1) == ((1, 2), -1)
+    # odd, odd: symmetric, diagonal free
+    assert core._orient(p, 2, 3) == ((2, 3), 1)
+    assert core._orient(p, 3, 2) == ((2, 3), 1)
+    assert core._orient(p, 3, 3) == ((3, 3), 1)
+    keys = {o[0] for i in range(4) for j in range(4) if (o := core._orient(p, i, j))}
+    assert core._free_pairs(p) == sorted(keys) == [
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+
+
 def test_labels_default_and_checked():
     L = validate([0, 1], {})
     assert L.labels == ("e1", "e2")
@@ -165,6 +199,44 @@ def test_vector_parity():
     assert L.vector_parity((F(0), F(0), F(0), F(2))) == 1
     assert L.vector_parity((F(1), F(0), F(0), F(1))) is None
     assert L.vector_parity((F(0),) * 4) is None
+
+
+# dense vectors for H(1,0), whose dimension is 3: too long with a nonzero
+# past the end, too short, too long with zeros past the end
+WRONG_LENGTH = [(0, 0, 0, 1), (1, 0), (1, 0, 0, 0)]
+
+
+@pytest.mark.parametrize("v", WRONG_LENGTH)
+def test_vector_parity_rejects_wrong_length(v):
+    with pytest.raises(InvalidParams):
+        heisenberg_even(1, 0).vector_parity(v)
+
+
+@pytest.mark.parametrize("v", WRONG_LENGTH)
+def test_bracket_rejects_wrong_length(v):
+    L = heisenberg_even(1, 0)
+    with pytest.raises(InvalidParams):
+        L.bracket(v, L.basis_vector(0))
+    with pytest.raises(InvalidParams):
+        L.bracket(L.basis_vector(0), v)
+
+
+@pytest.mark.parametrize("v", WRONG_LENGTH)
+def test_span_and_contains_reject_wrong_length(v):
+    L = heisenberg_even(1, 0)
+    with pytest.raises(InvalidParams):
+        Subspace.span(L, [v])
+    with pytest.raises(InvalidParams):
+        Subspace.full(L).contains(v)
+
+
+@pytest.mark.parametrize("v", WRONG_LENGTH)
+def test_centralizer_and_lambda_mu_reject_wrong_length(v):
+    L = heisenberg_even(1, 0)
+    with pytest.raises(InvalidParams):
+        centralizer(L, v)
+    with pytest.raises(InvalidParams):
+        lambda_mu(L, v)
 
 
 # -- subspaces ----------------------------------------------------------------

@@ -1,7 +1,10 @@
 """The sparse triple enumerator ``core._support_triples`` against the checks
 that visited every sorted basis triple (``reference_core``): the same
 Jacobi verdicts with the same first failing triple, the same 2-cocycle
-equations in the same order, and the same cocycle bases."""
+equations in the same order, and the same cocycle bases.  Also the
+two-orientation bracket table and ``core._orient`` against the per-call
+graded skew-symmetry they replace: the same brackets, cochain pairs and
+cochain values for every ordered index pair."""
 
 import itertools
 import random
@@ -98,6 +101,24 @@ def test_cocycle_equations_and_basis_match_reference(L):
         ref = Echelon(Echelon(reference.cocycle_equations(L, parity, col))
                       .kernel_basis(range(len(col))))
         assert cohomology._cocycle_basis(L, parity) == _by_pair(L, parity, ref.rows())
+
+
+@pytest.mark.parametrize("L", ALGEBRAS, ids=lambda L: f"{L.name}-{L.dim}")
+def test_brackets_cochain_pairs_and_values_match_reference(L):
+    pairs = list(itertools.product(range(L.dim), repeat=2))  # diagonal included
+    for i, j in pairs:
+        assert L.basis_bracket(i, j) == reference.basis_bracket(L, i, j)
+    for parity in (0, 1):
+        assert cohomology.cochain_pairs(L, parity) == reference.cochain_pairs(L, parity)
+        for f in cohomology.cocycle_space(L, parity) + cohomology.coboundary_space(L, parity):
+            for i, j in pairs:
+                assert f(i, j) == reference.cochain_value(f, i, j)
+
+
+@pytest.mark.parametrize("L", ALGEBRAS, ids=lambda L: f"{L.name}-{L.dim}")
+def test_reversed_brackets_are_stored_not_copied(L):
+    for (i, j), _ in L.constants:
+        assert L.basis_bracket(j, i) is L.basis_bracket(j, i)
 
 
 def _perturb(rng, L):
