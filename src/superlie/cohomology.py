@@ -240,7 +240,7 @@ def central_extension(L: LieSuperalgebra, chosen) -> CentralExtension:
         labels[g] = label
 
     K = validate(parities, consts, name=f"Ext({L.name})", labels=labels)
-    M = Subspace.span(K, [K.basis_vector(g) for g in gen_pos])
+    M = Subspace._span_rows(K, ({g: 1} for g in gen_pos))
     stem_ok = derived_subalgebra(K).contains_subspace(M)
     # K = L ⊕ M as spaces, so projecting to L reads off the embedded coordinates
     proj = LinearMap(tuple(K.basis_vector(embed(i)) for i in range(L.dim)))

@@ -145,11 +145,11 @@ class LieSuperalgebra:
             res: dict[int, Fraction] = {}
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                 s = _sign(p[a], p[c])
-                inner = self.basis_bracket(a, b)
-                for m, cm in inner.items():
-                    outer = self.basis_bracket(m, c)
-                    for t, ct in outer.items():
-                        res[t] = res.get(t, Fraction(0)) + s * cm * ct
+                for m, cm in self.basis_bracket(a, b).items():
+                    if outer := self.basis_bracket(m, c):  # often empty in class 2
+                        scm = s * cm
+                        for t, ct in outer.items():
+                            res[t] = res.get(t, Fraction(0)) + scm * ct
             res = {t: v for t, v in res.items() if v != 0}
             if res:
                 raise JacobiError(i, j, k, res)
@@ -246,14 +246,14 @@ def validate(parities, constants, name: str = "L", labels=None) -> LieSuperalgeb
 
 @dataclass(frozen=True)
 class Subspace:
-    """A homogeneous subspace, stored as one reduced-echelon coordinate
-    matrix per parity.  Canonical form makes equality syntactic.  Membership
-    and residuals reduce against a private echelon of the rows, built on
-    first use."""
+    """A homogeneous subspace, stored as the reduced echelon rows of each
+    parity as sparse ``Coeffs``, pivot first; ``even_rows``, ``odd_rows`` and
+    ``rows`` are dense views.  Canonical form makes equality syntactic.
+    Membership reduces against a private echelon of the rows, built lazily."""
 
     parent: LieSuperalgebra
-    even_rows: tuple[Vec, ...]
-    odd_rows: tuple[Vec, ...]
+    even: tuple[Coeffs, ...]
+    odd: tuple[Coeffs, ...]
 
     @classmethod
     def span(cls, parent: LieSuperalgebra, vectors) -> "Subspace":
@@ -266,20 +266,24 @@ class Subspace:
 
     @classmethod
     def _span_rows(cls, parent: LieSuperalgebra, rows) -> "Subspace":
-        """``span`` of sparse rows."""
+        """``span`` of sparse rows, in one echelon: the parities' columns are disjoint."""
         ne = parent.n_even
-        ech = (linalg.Echelon(), linalg.Echelon())
-        for r in rows:
-            if r:
-                odd = min(r) >= ne
-                if odd != (max(r) >= ne):
-                    raise NonHomogeneous("span requires homogeneous vectors")
-                ech[odd].add(r)
-        return cls(parent, tuple(ech[0].dense(parent.dim)), tuple(ech[1].dense(parent.dim)))
+        ech = linalg.Echelon()
+        for r in filter(None, rows):
+            if (min(r) >= ne) != (max(r) >= ne):
+                raise NonHomogeneous("span requires homogeneous vectors")
+            ech.add(r)
+        return cls._canonical(parent, [tuple(r.items()) for r in ech.rows()])
+
+    @classmethod
+    def _canonical(cls, parent: LieSuperalgebra, rows: list[Coeffs]) -> "Subspace":
+        """Split homogeneous canonical rows sorted by pivot: a row's parity is its pivot's."""
+        k = sum(1 for r in rows if r[0][0] < parent.n_even)
+        return cls(parent, tuple(rows[:k]), tuple(rows[k:]))
 
     @classmethod
     def full(cls, parent: LieSuperalgebra) -> "Subspace":
-        return cls.span(parent, [parent.basis_vector(i) for i in range(parent.dim)])
+        return cls._span_rows(parent, _basis(parent))
 
     @classmethod
     def zero(cls, parent: LieSuperalgebra) -> "Subspace":
@@ -287,11 +291,19 @@ class Subspace:
 
     @cached_property
     def _echelon(self) -> linalg.Echelon:
-        return linalg.Echelon(linalg.sparse(r) for r in self.rows)
+        return linalg.Echelon(dict(r) for r in self.even + self.odd)
 
     @property
     def sdim(self) -> SuperDim:
-        return SuperDim(len(self.even_rows), len(self.odd_rows))
+        return SuperDim(len(self.even), len(self.odd))
+
+    @property
+    def even_rows(self) -> tuple[Vec, ...]:
+        return tuple(linalg._dense(dict(r), self.parent.dim) for r in self.even)
+
+    @property
+    def odd_rows(self) -> tuple[Vec, ...]:
+        return tuple(linalg._dense(dict(r), self.parent.dim) for r in self.odd)
 
     @property
     def rows(self) -> tuple[Vec, ...]:
@@ -301,11 +313,12 @@ class Subspace:
         return not self._echelon.reduce(_row(self.parent, v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
+        return not any(self._echelon.reduce(dict(r)) for r in other.even + other.odd)
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check_parent(other)
-        return Subspace.span(self.parent, self.rows + other.rows)
+        rows = self.even + self.odd + other.even + other.odd
+        return Subspace._span_rows(self.parent, map(dict, rows))
 
     def intersection(self, other: "Subspace") -> "Subspace":
         """Intersection, as the annihilator of the sum of the two
@@ -366,7 +379,7 @@ def bracket_subspaces(L: LieSuperalgebra, U: Subspace, W: Subspace) -> Subspace:
     for S in (U, W):
         if S.parent is not L and S.parent != L:
             raise ParentMismatch("subspace does not belong to the algebra")
-    us, ws = [linalg.sparse(u) for u in U.rows], [linalg.sparse(w) for w in W.rows]
+    us, ws = [dict(u) for u in U.even + U.odd], [dict(w) for w in W.even + W.odd]
     return Subspace._span_rows(L, (_bracket(L, u, w) for u in us for w in ws))
 
 
@@ -391,7 +404,7 @@ def _cached_subspace(L: LieSuperalgebra, key: str, compute) -> Subspace:
     """A fresh Subspace over the rows of compute(), computed once per algebra."""
     def rows():
         S = compute()
-        return S.even_rows, S.odd_rows
+        return S.even, S.odd
     return Subspace(L, *_memo(L, key, rows))
 
 
@@ -420,13 +433,11 @@ def _ad_kernel(L: LieSuperalgebra, targets: list[linalg.Row], modulo: Subspace) 
             for k, x in ech.reduce(_bracket(L, {i: 1}, t)).items():
                 eqs.setdefault((t_idx, k), {})[i] = x
     kernel = linalg.Echelon(eqs.values()).kernel_basis(range(L.dim))
-    # The kernel basis is not canonical yet; its rref is, with the even rows
-    # first.  Echelon(kernel).dense would do, but this stays the library's one
-    # linalg.rref call: bench/test_bench.py requires a traced rref call, until
-    # the benchmark traces Echelon itself (ROADMAP item 1).
+    # The kernel basis is not canonical yet; its rref is.  This stays the
+    # library's one linalg.rref call, which bench/test_bench.py requires
+    # until the benchmark traces Echelon itself (ROADMAP item 1).
     rows = linalg.rref([linalg._dense(v, L.dim) for v in kernel])
-    even = tuple(r for r in rows if any(r[:L.n_even]))
-    return Subspace(L, even, tuple(rows[len(even):]))
+    return Subspace._canonical(L, [tuple(linalg.sparse(r).items()) for r in rows])
 
 
 def _basis(L: LieSuperalgebra) -> list[linalg.Row]:
@@ -441,7 +452,7 @@ def centralizer(L: LieSuperalgebra, z: Vec) -> Subspace:
     """Kernel of x -> [x, z] for a nonzero homogeneous z."""
     if L.vector_parity(z) is None:
         raise NonHomogeneous("centralizer requires a nonzero homogeneous element")
-    return _ad_kernel(L, [linalg.sparse(z)], Subspace.zero(L))
+    return _ad_kernel(L, [_row(L, z)], Subspace.zero(L))
 
 
 def second_center(L: LieSuperalgebra) -> Subspace:
@@ -481,24 +492,21 @@ def quotient(L: LieSuperalgebra, I: Subspace) -> tuple[LieSuperalgebra, LinearMa
     if I.parent is not L and I.parent != L:
         raise ParentMismatch("subspace does not belong to the algebra")
     ech = I._echelon
-    for r in ech.rows():
+    rows = I.even + I.odd
+    for r in rows:
         for j in range(L.dim):
-            if ech.reduce(_bracket(L, {j: 1}, r)):
+            if ech.reduce(_bracket(L, {j: 1}, dict(r))):
                 raise NotAnIdeal("subspace is not an ideal")
-    piv = set(linalg.pivots(I.rows))
-    comp = [c for c in range(L.dim) if c not in piv]
+    comp = sorted(set(range(L.dim)) - {r[0][0] for r in rows})  # the non-pivot columns
+    coset = {c: a for a, c in enumerate(comp)}
     qparities = tuple(L.parities[c] for c in comp)
 
-    def project(v: linalg.Row) -> Vec:
-        w = ech.reduce(v)
-        return tuple(w.get(c, Fraction(0)) for c in comp)
+    def project(v: linalg.Row) -> linalg.Row:
+        return {coset[c]: x for c, x in ech.reduce(v).items()}  # zero at every pivot
 
-    proj_matrix = tuple(zip(*[project({i: Fraction(1)}) for i in range(L.dim)]))
-    consts = {}
-    for a, b in _free_pairs(qparities):
-        w = project(L.basis_bracket(comp[a], comp[b]))
-        if any(w):
-            consts[(a, b)] = {k: c for k, c in enumerate(w)}
+    proj_matrix = tuple(zip(*[linalg._dense(project({i: Fraction(1)}), len(comp))
+                              for i in range(L.dim)]))
+    consts = {(a, b): project(L.basis_bracket(comp[a], comp[b])) for a, b in _free_pairs(qparities)}
     qlabels = tuple(L.labels[c] for c in comp)
     Q = validate(qparities, consts, name=f"{L.name}/I", labels=qlabels)
     return Q, LinearMap(proj_matrix)
@@ -544,10 +552,11 @@ def change_basis(L: LieSuperalgebra, P) -> LieSuperalgebra:
         Pinv = linalg.invert(P)
     except ValueError as exc:
         raise SingularMatrix(str(exc)) from exc
-    cols = [tuple(P[i][a] for i in range(d)) for a in range(d)]
-    consts = {}
-    for a, b in _free_pairs(L.parities):
-        u = linalg.mat_vec(Pinv, L.bracket(cols[a], cols[b]))
-        if any(u):
-            consts[(a, b)] = {k: c for k, c in enumerate(u)}
+    cols = [{i: P[i][a] for i in range(d) if P[i][a]} for a in range(d)]
+    inv_cols = [{i: Pinv[i][k] for i in range(d) if Pinv[i][k]} for k in range(d)]
+    consts: dict[tuple[int, int], linalg.Row] = {key: {} for key in _free_pairs(L.parities)}
+    for (a, b), u in consts.items():  # validate drops the pairs left empty
+        for k, x in _bracket(L, cols[a], cols[b]).items():
+            if x:
+                linalg._axpy(u, x, inv_cols[k])
     return validate(L.parities, consts, name=L.name, labels=L.labels)

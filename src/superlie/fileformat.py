@@ -21,6 +21,7 @@ from .core import LieSuperalgebra, _orient, validate
 from .errors import (
     DuplicateIdentifier,
     InconsistentBracket,
+    InvalidParams,
     ParseError,
     UnknownIdentifier,
 )
@@ -143,7 +144,13 @@ def _format_coef(c: Fraction) -> str:
 
 
 def emit(L: LieSuperalgebra) -> str:
-    """Canonical text for an algebra; parse(emit(L)) reproduces L exactly."""
+    """Canonical text for an algebra; parse(emit(L)) reproduces L exactly.
+    InvalidParams if a label is no identifier or the name cannot be quoted."""
+    if '"' in L.name or f"{L.name}\n".splitlines() != [L.name]:
+        raise InvalidParams(f"algebra name {L.name!r} cannot be quoted")
+    for label in L.labels:
+        if not re.fullmatch(_IDENT, label):
+            raise InvalidParams(f"label {label!r} is not an identifier")
     lines = [f'algebra "{L.name}"']
     lines.append(" ".join(["even"] + [L.labels[i] for i in L.even_indices()]).rstrip())
     lines.append(" ".join(["odd"] + [L.labels[i] for i in L.odd_indices()]).rstrip())

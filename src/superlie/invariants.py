@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import core, linalg
+from . import core
 from .cohomology import multiplier
 from .core import LieSuperalgebra, Subspace
 from .errors import NonHomogeneous, NotInSecondCenterMinusCenter
@@ -89,7 +89,7 @@ def lambda_mu(L: LieSuperalgebra, z) -> tuple[SuperDim, SuperDim]:
     if Z.contains(z) or not Z2.contains(z):
         raise NotInSecondCenterMinusCenter(
             "element must lie in the second center but not the center")
-    zs = linalg.sparse(z)
+    zs = core._row(L, z)
     Lz = Subspace._span_rows(L, (core._bracket(L, {i: 1}, zs) for i in range(L.dim)))
     P = core._ad_kernel(L, core._basis(L), Lz)
     return Lz.sdim, (L.sdim - P.sdim).to_superdim()

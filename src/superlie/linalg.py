@@ -15,8 +15,8 @@ positions and back.
 
 ``rref``, ``rank``, ``nullspace`` and ``reduce_mod`` are thin wrappers over
 the kernel that take and return dense row vectors (tuples of Fraction), with
-columns labelled 0, 1, ...; ``invert`` and the vector helpers work on dense
-vectors too.
+columns labelled 0, 1, ...; so do ``invert`` and ``mat_vec``.  There are no
+dense vector helpers: the library converts only at its public edge.
 """
 
 from __future__ import annotations
@@ -32,14 +32,6 @@ _ONE = Fraction(1)
 
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(_ONE if j == i else _ZERO for j in range(n))
-
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(c: Fraction, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
 
 
 # sparse row: column label -> nonzero entry; a dense vector's labels are its
@@ -174,10 +166,6 @@ def rref(rows) -> list[Vec]:
     return ech.dense(ncols)
 
 
-def pivots(rref_rows) -> list[int]:
-    return [next(i for i, x in enumerate(r) if x != 0) for r in rref_rows]
-
-
 def rank(rows) -> int:
     return len(Echelon(sparse(r) for r in rows))
 
@@ -198,7 +186,8 @@ def invert(rows) -> list[Vec]:
     n = len(rows)
     aug = [list(r) + [_ONE if i == j else _ZERO for j in range(n)] for i, r in enumerate(rows)]
     red = rref(aug)
-    if len(red) < n or pivots(red) != list(range(n)):
+    # [A | I] has rank n, and A is invertible exactly when row i pivots at i
+    if any(r[i] != 1 for i, r in enumerate(red)):
         raise ValueError("matrix is singular")
     return [tuple(r[n:]) for r in red]
 

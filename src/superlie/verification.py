@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import core, linalg
+from . import core
 from .classify import (
     H01,
     NotCovered,
@@ -74,7 +74,8 @@ def _central_z2_samples(L, rng: random.Random):
         for _ in range(_Z2_MIXES):
             if len(rows) >= 2:
                 a, b = rng.sample(rows, 2)
-                v = linalg.vec_add(a, linalg.vec_scale(Fraction(rng.randint(1, 3)), b))
+                c = Fraction(rng.randint(1, 3))
+                v = tuple(x + c * y for x, y in zip(a, b))
                 if not Z.contains(v):
                     out.append(v)
     return out

@@ -7,23 +7,32 @@ bracket, and the graded-Jacobi check and 2-cocycle equations of
 triple, the dense ``Cochain2.plus`` of ``superlie.cohomology``, and the
 per-call graded skew-symmetry of ``LieSuperalgebra.basis_bracket``,
 ``cochain_pairs`` and ``Cochain2.__call__`` (before the orientation rule moved
-into ``core._orient``), kept word for word as the test reference.
+into ``core._orient``), and the dense-row ``quotient``, ``change_basis``,
+two-echelon ``Subspace._span_rows`` and ``_ad_kernel`` parity split of
+``superlie.core`` (before ``Subspace`` stored sparse canonical rows), kept
+word for word as the test reference.
 
 The bodies are unchanged (``bracket``, ``check_jacobi``, ``basis_bracket``
 and ``cochain_plus`` are the former methods, with ``self`` now the first
 argument, ``cochain_value`` is the former ``Cochain2.__call__``, and
 ``cochain_plus`` calls the former ``Cochain2.from_vector`` classmethod as
-``cochain_from_vector``); their ``linalg`` is the library's vector helpers
-with ``zero_vec`` and the elimination (``reduce_mod``, ``nullspace``) taken
-from the dense seed kernel in ``reference_linalg``.  Tests compare
-``second_center``, ``Subspace.intersection``, ``derived_subalgebra``,
-``lambda_mu``, ``bracket``, ``direct_sum``, ``check_jacobi``,
-``cocycle_equations``, ``Cochain2.plus``, ``basis_bracket``, ``cochain_pairs``
-and ``Cochain2.__call__`` against these; nothing outside the tests imports
-this module.
+``cochain_from_vector``; ``span_rows`` is the former classmethod
+``_span_rows`` with ``cls`` its first argument, and ``span_rows`` and
+``ad_kernel``, the former ``_ad_kernel``, build a ``DenseSubspace``, which
+holds the former ``Subspace`` fields).  Their ``linalg`` is the library's
+kernel with the dense vector helpers (``zero_vec``, ``vec_add``,
+``vec_scale``) and the elimination (``reduce_mod``, ``nullspace``) taken from
+the dense seed kernel in ``reference_linalg``.  ``second_center`` quotients
+with the ``quotient`` here.  Tests compare ``second_center``,
+``Subspace.intersection``, ``derived_subalgebra``, ``lambda_mu``, ``bracket``,
+``direct_sum``, ``check_jacobi``, ``cocycle_equations``, ``Cochain2.plus``,
+``basis_bracket``, ``cochain_pairs``, ``Cochain2.__call__``, ``quotient``,
+``change_basis``, ``Subspace.span`` and ``_ad_kernel`` against these;
+nothing outside the tests imports this module.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -33,28 +42,52 @@ from superlie import linalg as _linalg
 from superlie.cohomology import Cochain2
 from superlie.core import (
     LieSuperalgebra,
+    LinearMap,
     Subspace,
+    _bracket,
+    _free_pairs,
     _sign,
     bracket_subspaces,
     center,
-    quotient,
     validate,
 )
 from superlie.errors import (
     InvalidParams,
     JacobiError,
     NonHomogeneous,
+    NotAnIdeal,
     NotInSecondCenterMinusCenter,
+    ParentMismatch,
+    ParityMixing,
+    SingularMatrix,
 )
+from superlie.linalg import Vec
 from superlie.superdim import SuperDim
 
 linalg = SimpleNamespace(
     zero_vec=reference_linalg.zero_vec,
-    vec_add=_linalg.vec_add,
-    vec_scale=_linalg.vec_scale,
+    vec_add=reference_linalg.vec_add,
+    vec_scale=reference_linalg.vec_scale,
     reduce_mod=reference_linalg.reduce_mod,
     nullspace=reference_linalg.nullspace,
+    Echelon=_linalg.Echelon,
+    Row=_linalg.Row,
+    rref=_linalg.rref,
+    _dense=_linalg._dense,
+    pivots=reference_linalg.pivots,
+    invert=_linalg.invert,
+    mat_vec=_linalg.mat_vec,
 )
+
+
+@dataclass(frozen=True)
+class DenseSubspace:
+    """The former ``Subspace`` fields: one dense reduced-echelon coordinate
+    matrix per parity."""
+
+    parent: LieSuperalgebra
+    even_rows: tuple[Vec, ...]
+    odd_rows: tuple[Vec, ...]
 
 
 def intersection(self, other):
@@ -266,3 +299,101 @@ def cochain_value(self, i: int, j: int) -> Fraction:
         return table.get((i, j), Fraction(0))
     s = -_sign(self.parent.parities[i], self.parent.parities[j])
     return s * table.get((j, i), Fraction(0))
+
+
+def span_rows(cls, parent: LieSuperalgebra, rows) -> "DenseSubspace":
+    """``span`` of sparse rows."""
+    ne = parent.n_even
+    ech = (linalg.Echelon(), linalg.Echelon())
+    for r in rows:
+        if r:
+            odd = min(r) >= ne
+            if odd != (max(r) >= ne):
+                raise NonHomogeneous("span requires homogeneous vectors")
+            ech[odd].add(r)
+    return cls(parent, tuple(ech[0].dense(parent.dim)), tuple(ech[1].dense(parent.dim)))
+
+
+def ad_kernel(L: LieSuperalgebra, targets: list[linalg.Row], modulo: Subspace) -> "DenseSubspace":
+    """{x : [x, t] in modulo for every t in targets}, for homogeneous
+    targets and a homogeneous ``modulo``.
+
+    The residual of [x, t] modulo ``modulo`` is linear in x, so each
+    (target, coordinate k) of it is one sparse equation over x's coordinates
+    on L's basis.  [e_i, t] has parity |e_i| + |t|, and reducing it modulo a
+    homogeneous subspace keeps that parity, so the e_i in one equation all
+    have parity |e_k| + |t|.  Each echelon row, and so each kernel vector,
+    then has coordinates of one parity only: the kernel basis is
+    homogeneous.
+    """
+    ech = modulo._echelon
+    eqs: dict[tuple[int, int], linalg.Row] = {}
+    for i in range(L.dim):
+        for t_idx, t in enumerate(targets):
+            for k, x in ech.reduce(_bracket(L, {i: 1}, t)).items():
+                eqs.setdefault((t_idx, k), {})[i] = x
+    kernel = linalg.Echelon(eqs.values()).kernel_basis(range(L.dim))
+    # The kernel basis is not canonical yet; its rref is, with the even rows
+    # first.  Echelon(kernel).dense would do, but this stays the library's one
+    # linalg.rref call: bench/test_bench.py requires a traced rref call, until
+    # the benchmark traces Echelon itself (ROADMAP item 1).
+    rows = linalg.rref([linalg._dense(v, L.dim) for v in kernel])
+    even = tuple(r for r in rows if any(r[:L.n_even]))
+    return DenseSubspace(L, even, tuple(rows[len(even):]))
+
+
+def quotient(L: LieSuperalgebra, I: Subspace) -> tuple[LieSuperalgebra, LinearMap]:
+    """Algebra structure on L/I for an ideal I, plus the projection map.
+
+    The coset basis extends I's echelon basis: it consists of the standard
+    basis vectors at the non-pivot columns, which inherit the even-before-odd
+    order from L.
+    """
+    if I.parent is not L and I.parent != L:
+        raise ParentMismatch("subspace does not belong to the algebra")
+    ech = I._echelon
+    for r in ech.rows():
+        for j in range(L.dim):
+            if ech.reduce(_bracket(L, {j: 1}, r)):
+                raise NotAnIdeal("subspace is not an ideal")
+    piv = set(linalg.pivots(I.rows))
+    comp = [c for c in range(L.dim) if c not in piv]
+    qparities = tuple(L.parities[c] for c in comp)
+
+    def project(v: linalg.Row) -> Vec:
+        w = ech.reduce(v)
+        return tuple(w.get(c, Fraction(0)) for c in comp)
+
+    proj_matrix = tuple(zip(*[project({i: Fraction(1)}) for i in range(L.dim)]))
+    consts = {}
+    for a, b in _free_pairs(qparities):
+        w = project(L.basis_bracket(comp[a], comp[b]))
+        if any(w):
+            consts[(a, b)] = {k: c for k, c in enumerate(w)}
+    qlabels = tuple(L.labels[c] for c in comp)
+    Q = validate(qparities, consts, name=f"{L.name}/I", labels=qlabels)
+    return Q, LinearMap(proj_matrix)
+
+
+def change_basis(L: LieSuperalgebra, P) -> LieSuperalgebra:
+    """Conjugate the structure constants by an invertible parity-preserving
+    matrix whose columns are the new basis vectors in old coordinates."""
+    P = [tuple(Fraction(x) for x in row) for row in P]
+    d = L.dim
+    if len(P) != d or any(len(r) != d for r in P):
+        raise InvalidParams("base-change matrix has the wrong shape")
+    for i in range(d):
+        for a in range(d):
+            if P[i][a] != 0 and L.parities[i] != L.parities[a]:
+                raise ParityMixing(f"entry ({i},{a}) mixes parities")
+    try:
+        Pinv = linalg.invert(P)
+    except ValueError as exc:
+        raise SingularMatrix(str(exc)) from exc
+    cols = [tuple(P[i][a] for i in range(d)) for a in range(d)]
+    consts = {}
+    for a, b in _free_pairs(L.parities):
+        u = linalg.mat_vec(Pinv, L.bracket(cols[a], cols[b]))
+        if any(u):
+            consts[(a, b)] = {k: c for k, c in enumerate(u)}
+    return validate(L.parities, consts, name=L.name, labels=L.labels)

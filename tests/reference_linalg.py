@@ -1,7 +1,7 @@
 """The dense elimination kernel that ``superlie.linalg`` used before its
 sparse incremental ``Echelon``, kept word for word as the test reference,
-and the dense vector helpers ``zero_vec`` and ``is_zero`` that the library
-no longer has.
+and the dense vector helpers ``zero_vec``, ``is_zero``, ``vec_add`` and
+``vec_scale`` that the library no longer has.
 
 Tests compare the library's ``rref``, ``nullspace`` and ``reduce_mod``
 against these on random rational matrices, and ``reference_core`` runs the
@@ -23,6 +23,14 @@ def zero_vec(n: int) -> Vec:
 
 def is_zero(a: Vec) -> bool:
     return not any(a)
+
+
+def vec_add(a: Vec, b: Vec) -> Vec:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vec_scale(c: Fraction, a: Vec) -> Vec:
+    return tuple(c * x for x in a)
 
 
 def rref(rows) -> list[Vec]:

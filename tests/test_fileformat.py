@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from superlie.errors import (
     DuplicateIdentifier,
     GradingError,
     InconsistentBracket,
+    InvalidParams,
     JacobiError,
     ParseError,
     UnknownIdentifier,
@@ -176,3 +178,21 @@ def test_emit_parse_round_trip():
         assert back.structure_equals(L)
         assert back.labels == L.labels and back.name == L.name
         assert emit(back) == text  # byte-exact idempotence
+
+
+def test_emit_rejects_a_label_with_a_space():
+    # would emit "even a b c", which reads back as three basis elements
+    L = abelian(2, 0)
+    with pytest.raises(InvalidParams, match="not an identifier"):
+        emit(replace(L, labels=("a b", "c")))
+
+
+def test_emit_rejects_a_label_that_is_not_an_identifier():
+    with pytest.raises(InvalidParams, match="'1a'"):
+        emit(replace(abelian(1, 0), labels=("1a",)))
+
+
+@pytest.mark.parametrize("name", ['say "hi"', "two\nlines", "cr\rlf", "sep\u2028"])
+def test_emit_rejects_a_name_it_cannot_quote(name):
+    with pytest.raises(InvalidParams, match="cannot be quoted"):
+        emit(replace(abelian(1, 0), name=name))

@@ -2,6 +2,8 @@
 calculus (``reference_core``) and against sympy ranks.
 
 Subspaces are canonical, so ``==`` compares the exact reduced echelon rows.
+The stored rows are sparse; ``even_rows``, ``odd_rows`` and ``rows`` are
+their dense views, which the dense references produce directly.
 """
 
 from fractions import Fraction
@@ -12,19 +14,23 @@ import pytest
 from sympy import Matrix, Rational
 
 import reference_core as reference
+import reference_linalg
+from superlie import core, linalg
 from superlie.constructions import abelian, heisenberg_even, heisenberg_odd, model_l4
 from superlie.core import (
     Subspace,
+    center,
     change_basis,
     derived_subalgebra,
     direct_sum,
     is_nilpotent,
     lower_central_series,
+    quotient,
     second_center,
     validate,
 )
 from superlie.corpus import corpus
-from superlie.errors import NonHomogeneous, SingularMatrix
+from superlie.errors import NonHomogeneous, ParityMixing, SingularMatrix
 
 F = Fraction
 
@@ -160,3 +166,105 @@ def test_span_rejects_mixed_parity():
     # zero vectors and homogeneous vectors of both parities are fine
     S = Subspace.span(L, [(F(0),) * 4, (F(1), F(2), F(0), F(0)), L.basis_vector(3)])
     assert S.sdim.as_tuple() == (1, 1)
+
+
+# -- sparse stored rows against the dense-row references ---------------------
+
+BASES = MODELS + corpus(0, 60)
+
+
+def _sparse_rows(rows):
+    return tuple(tuple(linalg.sparse(r).items()) for r in rows)
+
+
+def _stores_its_dense_views(S):
+    return (S.even, S.odd) == (_sparse_rows(S.even_rows), _sparse_rows(S.odd_rows))
+
+
+@st.composite
+def matrices_for(draw, mixing):
+    """An algebra of BASES and a random square matrix that preserves
+    parity, or with ``mixing`` may also mix it; many are singular."""
+    L = draw(st.sampled_from(BASES))
+    d = L.dim
+    return L, [[draw(rational) if mixing or L.parities[i] == L.parities[j] else F(0)
+                for j in range(d)] for i in range(d)]
+
+
+def _outcome(change, L, P):
+    try:
+        return change(L, P)
+    except (SingularMatrix, ParityMixing) as exc:
+        return type(exc)
+
+
+@given(st.one_of(matrices_for(False), matrices_for(True)))
+def test_change_basis_matches_reference(case):
+    L, P = case
+    got, want = _outcome(change_basis, L, P), _outcome(reference.change_basis, L, P)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert got.structure_equals(want) and (got.name, got.labels) == (want.name, want.labels)
+
+
+def test_change_basis_rejections_match_reference():
+    L = heisenberg_even(1, 1)
+    singular = [[F(1), F(1), F(0), F(0)], [F(1), F(1), F(0), F(0)],
+                [F(0), F(0), F(1), F(0)], [F(0), F(0), F(0), F(1)]]
+    mixing = [[F(int(i == j or (i, j) == (0, 3))) for j in range(4)] for i in range(4)]
+    for P, exc in ((singular, SingularMatrix), (mixing, ParityMixing)):
+        assert _outcome(change_basis, L, P) is exc is _outcome(reference.change_basis, L, P)
+
+
+@given(st.one_of(st.sampled_from(BASES), base_changed()))
+def test_quotient_matches_reference(L):
+    """The center, the derived subalgebra and every lower-central term."""
+    for I in [center(L), derived_subalgebra(L), *lower_central_series(L)]:
+        (Q, proj), (RQ, rproj) = quotient(L, I), reference.quotient(L, I)
+        assert Q.structure_equals(RQ) and (Q.name, Q.labels) == (RQ.name, RQ.labels)
+        assert proj.matrix == rproj.matrix
+        assert all(type(x) is Fraction for row in proj.matrix for x in row)
+
+
+@st.composite
+def homogeneous_spans(draw):
+    """An algebra and random homogeneous vectors of both parities, shuffled."""
+    L = draw(st.one_of(st.sampled_from(BASES), base_changed()))
+    vectors = [v for p in (0, 1) for v in _homogeneous(draw, L, p, draw(st.integers(0, 4)))]
+    return L, draw(st.permutations(vectors))
+
+
+@given(homogeneous_spans())
+def test_span_matches_reference_per_parity_rref(case):
+    L, vectors = case
+    S = Subspace.span(L, vectors)
+    ref = reference.span_rows(reference.DenseSubspace, L, (linalg.sparse(v) for v in vectors))
+    assert (S.even_rows, S.odd_rows) == (ref.even_rows, ref.odd_rows)
+    for rows, p in ((S.even_rows, 0), (S.odd_rows, 1)):
+        same = [v for v in vectors if L.vector_parity(v) == p]
+        assert list(rows) == reference_linalg.rref(same)
+    assert S.rows == S.even_rows + S.odd_rows
+    assert _stores_its_dense_views(S)
+
+
+@given(algebras)
+def test_ad_kernel_parity_split_matches_reference(L):
+    for modulo in (Subspace.zero(L), center(L)):
+        got = core._ad_kernel(L, core._basis(L), modulo)
+        want = reference.ad_kernel(L, core._basis(L), modulo)
+        assert (got.even_rows, got.odd_rows) == (want.even_rows, want.odd_rows)
+
+
+@given(algebras)
+def test_stored_rows_are_the_sparse_dense_views(L):
+    """Every way a Subspace is made stores the sparse form of its dense
+    views: pivot first, entries in index order, no zeros, Fraction values."""
+    spaces = [Subspace.full(L), Subspace.zero(L), center(L), second_center(L),
+              derived_subalgebra(L), *lower_central_series(L)]
+    spaces.append(spaces[2].add(spaces[4]))
+    spaces.append(spaces[3].intersection(spaces[4]))
+    for S in spaces:
+        assert _stores_its_dense_views(S)
+        assert all(type(x) is Fraction for r in S.even + S.odd for _, x in r)
+        assert all(r[0][1] == 1 for r in S.even + S.odd)
