@@ -30,8 +30,6 @@ from .invariants import report
 from .superdim import SignedPair
 from .verification import run_paper_checks
 
-COMMANDS = ("validate", "invariants", "multiplier", "classify", "cover", "verify-paper")
-
 USAGE = """\
 usage: superlie <command> [options]
 
@@ -233,6 +231,16 @@ def _cmd_verify_paper(args) -> int:
     return 0 if ok else 1
 
 
+COMMANDS = {
+    "validate": _cmd_validate,
+    "invariants": _cmd_invariants,
+    "multiplier": _cmd_multiplier,
+    "classify": _cmd_classify,
+    "cover": _cmd_cover,
+    "verify-paper": _cmd_verify_paper,
+}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
@@ -241,17 +249,9 @@ def main(argv=None) -> int:
     if argv[0] not in COMMANDS:
         print(USAGE, file=sys.stderr)
         return 64
-    handlers = {
-        "validate": _cmd_validate,
-        "invariants": _cmd_invariants,
-        "multiplier": _cmd_multiplier,
-        "classify": _cmd_classify,
-        "cover": _cmd_cover,
-        "verify-paper": _cmd_verify_paper,
-    }
     try:
         args = _build_parser().parse_args(argv)
-        return handlers[args.command](args)
+        return COMMANDS[args.command](args)
     except _HelpShown:
         return 0
     except UsageError as exc:

@@ -7,6 +7,10 @@ Jacobi identity; coboundaries arise as (x, y) -> -g([x, y]) from linear
 functionals g of parity π.  The quotient superdimension is the multiplier
 superdimension, and extending by a full set of class representatives yields
 cover candidates.
+
+Both parities are solved as one linear system over the free pairs (i, j).
+They use disjoint pairs and every equation and row is homogeneous, so
+elimination never mixes them; a row's parity is its first pair's.
 """
 
 from __future__ import annotations
@@ -32,11 +36,15 @@ from .linalg import Vec
 from .superdim import SuperDim
 
 
+def _parity(p, pair: tuple[int, int]) -> int:
+    """|e_i| + |e_j|: the parity of a cochain or homogeneous row whose first pair is (i, j)."""
+    return (p[pair[0]] + p[pair[1]]) % 2
+
+
 def cochain_pairs(L: LieSuperalgebra, parity: int) -> list[tuple[int, int]]:
     """Free coordinates of a parity-π 2-cochain: the free pairs (i, j) of
     ``_free_pairs`` with |e_i| + |e_j| = π."""
-    p = L.parities
-    return [(i, j) for i, j in _free_pairs(p) if (p[i] + p[j]) % 2 == parity]
+    return [key for key in _free_pairs(L.parities) if _parity(L.parities, key) == parity]
 
 
 @dataclass(frozen=True)
@@ -50,11 +58,10 @@ class Cochain2:
     def __post_init__(self):
         # the membership test of cochain_pairs, without listing all O(d²) pairs
         p = self.parent.parities
-        for key, c in self.values:
-            i, j = key
+        for (i, j), c in self.values:
             if (not 0 <= i <= j < len(p) or _orient(p, i, j) is None
-                    or (p[i] + p[j]) % 2 != self.parity):
-                raise InvalidParams(f"coordinate {key} not free for a parity-{self.parity} cochain")
+                    or _parity(p, (i, j)) != self.parity):
+                raise InvalidParams(f"coordinate {(i, j)} not free for a parity-{self.parity} cochain")
             if c == 0:
                 raise InvalidParams("cochain values must be normalized (no zeros)")
         # one value per coordinate, in cochain_pairs order, so that the values
@@ -83,23 +90,24 @@ class Cochain2:
             raise InvalidParams("can only add cochains of equal parent and parity")
         row = dict(self.values)
         linalg._axpy(row, 1, dict(other.values))
-        return _cochain(self.parent, self.parity, row)
+        # the sum may be zero, with no pair to read its parity from
+        return Cochain2(self.parent, self.parity, tuple(sorted(row.items())))
 
 
-def _cochain(L: LieSuperalgebra, parity: int, row: linalg.Row) -> Cochain2:
-    """The cochain whose free coordinates are a sparse row over the pairs."""
-    return Cochain2(L, parity, tuple(sorted(row.items())))
+def _cochain(L: LieSuperalgebra, row: linalg.Row) -> Cochain2:
+    """The cochain whose free coordinates are a nonzero homogeneous sparse
+    row over the pairs, with the parity of its first pair."""
+    values = tuple(sorted(row.items()))
+    return Cochain2(L, _parity(L.parities, values[0][0]), values)
 
 
-def _cocycle_equations(L: LieSuperalgebra, parity: int):
-    """Yield one sparse linear constraint per basis triple with total degree
-    π, over the free coordinates (i, j).  Triples outside
-    ``_support_triples`` have no nonzero inner bracket, so they give no
-    constraint and are not visited."""
+def _cocycle_equations(L: LieSuperalgebra):
+    """Yield one sparse linear constraint per basis triple over the free
+    coordinates (i, j).  Each is homogeneous, of the triple's total degree.
+    Triples outside ``_support_triples`` have no nonzero inner bracket, so
+    they give no constraint and are not visited."""
     p = L.parities
     for i, j, k in _support_triples(L):
-        if (p[i] + p[j] + p[k]) % 2 != parity:
-            continue
         row: linalg.Row = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
             s = _sign(p[a], p[c])
@@ -112,33 +120,33 @@ def _cocycle_equations(L: LieSuperalgebra, parity: int):
             yield row
 
 
-def _cocycle_basis(L: LieSuperalgebra, parity: int) -> list[linalg.Row]:
-    """Canonical echelon basis of the parity-π cocycles, as sparse rows."""
-    equations = linalg.Echelon(_cocycle_equations(L, parity))
-    return linalg.Echelon(equations.kernel_basis(cochain_pairs(L, parity))).rows()
+def _cocycle_basis(L: LieSuperalgebra) -> list[linalg.Row]:
+    """Canonical echelon basis of the cocycles of both parities, as sparse
+    rows by pivot.  Elimination only combines rows that share a pair, so the
+    rows of one parity are that parity's canonical basis."""
+    equations = linalg.Echelon(_cocycle_equations(L))
+    return linalg.Echelon(equations.kernel_basis(_free_pairs(L.parities))).rows()
 
 
 def cocycle_space(L: LieSuperalgebra, parity: int) -> list[Cochain2]:
     """Canonical basis of the parity-π 2-cocycles."""
-    return [_cochain(L, parity, r) for r in _cocycle_basis(L, parity)]
+    return [f for f in (_cochain(L, r) for r in _cocycle_basis(L)) if f.parity == parity]
 
 
-def _coboundaries(L: LieSuperalgebra, parity: int) -> linalg.Echelon:
-    """Echelon of the coboundaries (x, y) -> -g([x, y]), one row per
-    parity-π coordinate functional g."""
-    p = L.parities
-    rows: dict[int, linalg.Row] = {k: {} for k in range(L.dim) if p[k] == parity}
-    for (i, j), vec in L.constants:
-        if (p[i] + p[j]) % 2 == parity:
-            # grading puts every k of a parity-π pair's bracket in ``rows``
-            for k, x in vec:
-                rows[k][(i, j)] = -x
-    return linalg.Echelon(rows.values())
+def _coboundaries(L: LieSuperalgebra) -> list[linalg.Row]:
+    """The coboundaries (x, y) -> -g([x, y]) of the functionals g = e_k*, one
+    sparse row per k; grading makes row k homogeneous of parity |e_k|."""
+    rows: list[linalg.Row] = [{} for _ in range(L.dim)]
+    for key, vec in L.constants:
+        for k, x in vec:
+            rows[k][key] = -x
+    return rows
 
 
 def coboundary_space(L: LieSuperalgebra, parity: int) -> list[Cochain2]:
     """Canonical basis of {(x,y) -> -g([x,y])} over parity-π functionals g."""
-    return [_cochain(L, parity, r) for r in _coboundaries(L, parity).rows()]
+    rows = linalg.Echelon(_coboundaries(L)).rows()
+    return [f for f in (_cochain(L, r) for r in rows) if f.parity == parity]
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,23 +158,26 @@ class MultiplierResult:
 
 
 def multiplier(L: LieSuperalgebra) -> MultiplierResult:
-    """Multiplier superdimension as cocycles-modulo-coboundaries, per parity,
-    with canonical class representatives."""
-    z_dims, b_dims, reps = [], [], []
-    for parity in (0, 1):
-        zbasis = _cocycle_basis(L, parity)
-        # B² plus the representatives so far, in one growing echelon
-        acc = _coboundaries(L, parity)
-        z_dims.append(len(zbasis))
-        b_dims.append(len(acc))
-        for zv in zbasis:
-            resid = acc.add(zv)
-            if resid is not None:
-                reps.append(_cochain(L, parity, resid))
+    """Multiplier superdimension as cocycles-modulo-coboundaries, with
+    canonical class representatives: each parity's residuals in pivot order,
+    even first."""
+    p = L.parities
+    # B² plus the representatives so far, in one growing echelon
+    acc = linalg.Echelon()
+    z, b, reps = [0, 0], [0, 0], []
+    for k, row in enumerate(_coboundaries(L)):
+        if acc.add(row) is not None:
+            b[p[k]] += 1
+    for zv in _cocycle_basis(L):
+        z[_parity(p, next(iter(zv)))] += 1
+        resid = acc.add(zv)
+        if resid is not None:
+            reps.append(_cochain(L, resid))
+    reps.sort(key=lambda f: f.parity)  # stable: pivot order within a parity
     return MultiplierResult(
-        sdim_Z2=SuperDim(z_dims[0], z_dims[1]),
-        sdim_B2=SuperDim(b_dims[0], b_dims[1]),
-        sdim_M=SuperDim(z_dims[0] - b_dims[0], z_dims[1] - b_dims[1]),
+        sdim_Z2=SuperDim(*z),
+        sdim_B2=SuperDim(*b),
+        sdim_M=SuperDim(z[0] - b[0], z[1] - b[1]),
         cocycle_basis=tuple(reps),
     )
 
@@ -195,55 +206,39 @@ class CentralExtension:
 def central_extension(L: LieSuperalgebra, chosen) -> CentralExtension:
     """Extend L by one new central generator per chosen cocycle."""
     chosen = list(chosen)
+    if any(f.parent != L for f in chosen):
+        raise InvalidParams("cochain belongs to a different algebra")
+    acc = linalg.Echelon(_coboundaries(L))
     for f in chosen:
-        if f.parent != L:
-            raise InvalidParams("cochain belongs to a different algebra")
-    for parity in (0, 1):
-        acc = _coboundaries(L, parity)
-        for f in chosen:
-            if f.parity == parity and acc.add(dict(f.values)) is None:
-                raise DependentClasses("chosen classes are dependent modulo coboundaries")
+        if acc.add(dict(f.values)) is None:
+            raise DependentClasses("chosen classes are dependent modulo coboundaries")
 
-    even_new = [f for f in chosen if f.parity == 0]
-    odd_new = [f for f in chosen if f.parity == 1]
-    ordered = even_new + odd_new
+    ordered = sorted(chosen, key=lambda f: f.parity)  # stable: even classes first
     ne, no = L.n_even, L.n_odd
-    ce, co = len(even_new), len(odd_new)
-
-    def embed(i: int) -> int:
-        return i if i < ne else i + ce
-
-    # the new generator of ordered[t] sits at gen_pos[t]
+    co = sum(f.parity for f in chosen)
+    ce = len(chosen) - co
+    # e_i of L sits at emb[i], the new generator of ordered[t] at gen_pos[t]
+    emb = [*range(ne), *range(ne + ce, ne + ce + no)]
     gen_pos = [*range(ne, ne + ce), *range(ne + ce + no, ne + ce + no + co)]
 
     parities = [0] * (ne + ce) + [1] * (no + co)
-    # embed is increasing, so stored keys (i, j), i <= j, stay ordered
-    consts = {(embed(i), embed(j)): {embed(k): c for k, c in vec}
-              for (i, j), vec in L.constants}
+    # emb is increasing, so stored keys (i, j), i <= j, stay ordered
+    consts = {(emb[i], emb[j]): {emb[k]: c for k, c in vec} for (i, j), vec in L.constants}
     for f, g in zip(ordered, gen_pos):
         for (i, j), c in f.values:
-            consts.setdefault((embed(i), embed(j)), {})[g] = c
+            consts.setdefault((emb[i], emb[j]), {})[g] = c
 
+    # fresh names c1, c2, ...; L's labels can take at most L.dim of them
     used = set(L.labels)
-    clabels = []
-    t = 1
-    while len(clabels) < ce + co:
-        cand = f"c{t}"
-        t += 1
-        if cand not in used:
-            used.add(cand)
-            clabels.append(cand)
-    labels = [""] * len(parities)
-    for i in range(L.dim):
-        labels[embed(i)] = L.labels[i]
-    for g, label in zip(gen_pos, clabels):
-        labels[g] = label
+    names = (f"c{t}" for t in range(1, L.dim + ce + co + 1))
+    clabels = [c for c in names if c not in used][:ce + co]
+    labels = [*L.labels[:ne], *clabels[:ce], *L.labels[ne:], *clabels[ce:]]
 
     K = validate(parities, consts, name=f"Ext({L.name})", labels=labels)
     M = Subspace._span_rows(K, ({g: 1} for g in gen_pos))
     stem_ok = derived_subalgebra(K).contains_subspace(M)
     # K = L ⊕ M as spaces, so projecting to L reads off the embedded coordinates
-    proj = LinearMap(tuple(K.basis_vector(embed(i)) for i in range(L.dim)))
+    proj = LinearMap(tuple(K.basis_vector(e) for e in emb))
     return CentralExtension(base=L, algebra=K, kernel=M, stem_ok=stem_ok, projection=proj)
 
 

@@ -149,7 +149,7 @@ class LieSuperalgebra:
                     if outer := self.basis_bracket(m, c):  # often empty in class 2
                         scm = s * cm
                         for t, ct in outer.items():
-                            res[t] = res.get(t, Fraction(0)) + scm * ct
+                            res[t] = res[t] + scm * ct if t in res else scm * ct
             res = {t: v for t, v in res.items() if v != 0}
             if res:
                 raise JacobiError(i, j, k, res)

@@ -89,8 +89,12 @@ class Echelon:
             return None
         tails, where = self._tails, self._where
         lead = min(w)
-        inv = _ONE / w.pop(lead)
-        tail = {c: inv * x for c, x in w.items()}
+        a = w.pop(lead)
+        if a == 1:  # no rescale; entries of the caller's v may still be ints
+            tail = {c: x if isinstance(x, Fraction) else Fraction(x) for c, x in w.items()}
+        else:
+            inv = _ONE / a
+            tail = {c: inv * x for c, x in w.items()}
         for c in tail:
             where.setdefault(c, set()).add(lead)
         # clear the new pivot column from the rows that hold it, keeping the

@@ -10,7 +10,11 @@ per-call graded skew-symmetry of ``LieSuperalgebra.basis_bracket``,
 into ``core._orient``), and the dense-row ``quotient``, ``change_basis``,
 two-echelon ``Subspace._span_rows`` and ``_ad_kernel`` parity split of
 ``superlie.core`` (before ``Subspace`` stored sparse canonical rows), kept
-word for word as the test reference.
+word for word as the test reference; so are the per-parity passes of
+``superlie.cohomology`` (before both parities were solved in one system):
+its ``_cocycle_equations``, ``_cocycle_basis``, ``_coboundaries``,
+``_cochain`` and ``multiplier``, and the independence loop of
+``central_extension``.
 
 The bodies are unchanged (``bracket``, ``check_jacobi``, ``basis_bracket``
 and ``cochain_plus`` are the former methods, with ``self`` now the first
@@ -27,8 +31,13 @@ with the ``quotient`` here.  Tests compare ``second_center``,
 ``Subspace.intersection``, ``derived_subalgebra``, ``lambda_mu``, ``bracket``,
 ``direct_sum``, ``check_jacobi``, ``cocycle_equations``, ``Cochain2.plus``,
 ``basis_bracket``, ``cochain_pairs``, ``Cochain2.__call__``, ``quotient``,
-``change_basis``, ``Subspace.span`` and ``_ad_kernel`` against these;
-nothing outside the tests imports this module.
+``change_basis``, ``Subspace.span`` and ``_ad_kernel`` against these, and
+``multiplier``, ``cocycle_space``, ``coboundary_space`` and
+``central_extension``'s check against the per-parity passes, which are
+named without the leading underscore (``cocycle_equations_of_parity`` is the
+former ``_cocycle_equations``, ``check_independent`` the loop, taking L and
+the chosen cochains, and ``cocycle_basis`` takes its columns from the
+``cochain_pairs`` here); nothing outside the tests imports this module.
 """
 
 import itertools
@@ -39,19 +48,22 @@ from types import SimpleNamespace
 import reference_linalg
 from superlie import core
 from superlie import linalg as _linalg
-from superlie.cohomology import Cochain2
+from superlie.cohomology import Cochain2, MultiplierResult
 from superlie.core import (
     LieSuperalgebra,
     LinearMap,
     Subspace,
     _bracket,
     _free_pairs,
+    _orient,
     _sign,
+    _support_triples,
     bracket_subspaces,
     center,
     validate,
 )
 from superlie.errors import (
+    DependentClasses,
     InvalidParams,
     JacobiError,
     NonHomogeneous,
@@ -397,3 +409,78 @@ def change_basis(L: LieSuperalgebra, P) -> LieSuperalgebra:
         if any(u):
             consts[(a, b)] = {k: c for k, c in enumerate(u)}
     return validate(L.parities, consts, name=L.name, labels=L.labels)
+
+
+def cochain(L: LieSuperalgebra, parity: int, row: linalg.Row) -> Cochain2:
+    """The cochain whose free coordinates are a sparse row over the pairs."""
+    return Cochain2(L, parity, tuple(sorted(row.items())))
+
+
+def cocycle_equations_of_parity(L: LieSuperalgebra, parity: int):
+    """Yield one sparse linear constraint per basis triple with total degree
+    π, over the free coordinates (i, j).  Triples outside
+    ``_support_triples`` have no nonzero inner bracket, so they give no
+    constraint and are not visited."""
+    p = L.parities
+    for i, j, k in _support_triples(L):
+        if (p[i] + p[j] + p[k]) % 2 != parity:
+            continue
+        row: linalg.Row = {}
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            s = _sign(p[a], p[c])
+            for m, cm in L.basis_bracket(a, b).items():
+                # f(e_m, e_c) in terms of the free coordinates (0 for an even m == c)
+                key, t = _orient(p, m, c) or (None, 0)
+                if t:
+                    row[key] = row.get(key, 0) + t * s * cm
+        if row:
+            yield row
+
+
+def cocycle_basis(L: LieSuperalgebra, parity: int) -> list[linalg.Row]:
+    """Canonical echelon basis of the parity-π cocycles, as sparse rows."""
+    equations = linalg.Echelon(cocycle_equations_of_parity(L, parity))
+    return linalg.Echelon(equations.kernel_basis(cochain_pairs(L, parity))).rows()
+
+
+def coboundaries(L: LieSuperalgebra, parity: int) -> linalg.Echelon:
+    """Echelon of the coboundaries (x, y) -> -g([x, y]), one row per
+    parity-π coordinate functional g."""
+    p = L.parities
+    rows: dict[int, linalg.Row] = {k: {} for k in range(L.dim) if p[k] == parity}
+    for (i, j), vec in L.constants:
+        if (p[i] + p[j]) % 2 == parity:
+            # grading puts every k of a parity-π pair's bracket in ``rows``
+            for k, x in vec:
+                rows[k][(i, j)] = -x
+    return linalg.Echelon(rows.values())
+
+
+def multiplier(L: LieSuperalgebra) -> MultiplierResult:
+    """Multiplier superdimension as cocycles-modulo-coboundaries, per parity,
+    with canonical class representatives."""
+    z_dims, b_dims, reps = [], [], []
+    for parity in (0, 1):
+        zbasis = cocycle_basis(L, parity)
+        # B² plus the representatives so far, in one growing echelon
+        acc = coboundaries(L, parity)
+        z_dims.append(len(zbasis))
+        b_dims.append(len(acc))
+        for zv in zbasis:
+            resid = acc.add(zv)
+            if resid is not None:
+                reps.append(cochain(L, parity, resid))
+    return MultiplierResult(
+        sdim_Z2=SuperDim(z_dims[0], z_dims[1]),
+        sdim_B2=SuperDim(b_dims[0], b_dims[1]),
+        sdim_M=SuperDim(z_dims[0] - b_dims[0], z_dims[1] - b_dims[1]),
+        cocycle_basis=tuple(reps),
+    )
+
+
+def check_independent(L: LieSuperalgebra, chosen) -> None:
+    for parity in (0, 1):
+        acc = coboundaries(L, parity)
+        for f in chosen:
+            if f.parity == parity and acc.add(dict(f.values)) is None:
+                raise DependentClasses("chosen classes are dependent modulo coboundaries")

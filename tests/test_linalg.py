@@ -173,6 +173,8 @@ def test_echelon_add_is_the_normalized_residual(m):
             assert all(type(x) is Fraction for x in got.values())
     assert ech.dense(ncols) == reference.rref(rows)
     assert len(ech) == len(ech.rows()) == len(reference.rref(rows))
+    # a lead of 1 skips the rescale, but int entries still leave as Fractions
+    assert all(type(x) is Fraction for r in ech.rows() for x in r.values())
 
 
 @given(matrices(), st.data())

@@ -4,7 +4,10 @@ Jacobi verdicts with the same first failing triple, the same 2-cocycle
 equations in the same order, and the same cocycle bases.  Also the
 two-orientation bracket table and ``core._orient`` against the per-call
 graded skew-symmetry they replace: the same brackets, cochain pairs and
-cochain values for every ordered index pair."""
+cochain values for every ordered index pair.  And the one system that
+``cohomology`` solves for both parities against the former per-parity
+passes: the same superdimensions, representatives, cocycle and coboundary
+bases, and independence verdicts."""
 
 import itertools
 import random
@@ -23,7 +26,7 @@ from superlie.constructions import (
     model_registry,
 )
 from superlie.corpus import corpus
-from superlie.errors import JacobiError
+from superlie.errors import DependentClasses, JacobiError
 from superlie.linalg import Echelon, invert
 
 F = Fraction
@@ -92,15 +95,94 @@ def test_omitted_triples_have_no_jacobi_term_and_no_equation(L):
             assert _jacobi_term(L, i, j, k) == {}
 
 
+def _of_parity(L, rows, parity):
+    """The rows whose pairs all have parity π; every row must be homogeneous."""
+    p = L.parities
+    parities = [{(p[i] + p[j]) % 2 for i, j in row} for row in rows]
+    assert all(len(ps) == 1 for ps in parities)
+    return [row for row, ps in zip(rows, parities) if ps == {parity}]
+
+
 @pytest.mark.parametrize("L", ALGEBRAS, ids=lambda L: f"{L.name}-{L.dim}")
 def test_cocycle_equations_and_basis_match_reference(L):
+    equations = list(cohomology._cocycle_equations(L))
+    basis = cohomology._cocycle_basis(L)
     for parity in (0, 1):
         col = _cols(L, parity)
-        assert (list(cohomology._cocycle_equations(L, parity))
+        assert (_of_parity(L, equations, parity)
                 == _by_pair(L, parity, reference.cocycle_equations(L, parity, col)))
         ref = Echelon(Echelon(reference.cocycle_equations(L, parity, col))
                       .kernel_basis(range(len(col))))
-        assert cohomology._cocycle_basis(L, parity) == _by_pair(L, parity, ref.rows())
+        assert _of_parity(L, basis, parity) == _by_pair(L, parity, ref.rows())
+
+
+@pytest.mark.parametrize("L", ALGEBRAS, ids=lambda L: f"{L.name}-{L.dim}")
+def test_multiplier_matches_per_parity_reference(L):
+    res, ref = cohomology.multiplier(L), reference.multiplier(L)
+    assert res.sdim_Z2 == ref.sdim_Z2
+    assert res.sdim_B2 == ref.sdim_B2
+    assert res.sdim_M == ref.sdim_M
+    assert res.cocycle_basis == ref.cocycle_basis  # values and order
+    for parity in (0, 1):
+        assert cohomology.cocycle_space(L, parity) == [
+            reference.cochain(L, parity, r) for r in reference.cocycle_basis(L, parity)]
+        assert cohomology.coboundary_space(L, parity) == [
+            reference.cochain(L, parity, r) for r in reference.coboundaries(L, parity).rows()]
+
+
+@pytest.mark.parametrize("L", ALGEBRAS, ids=lambda L: f"{L.name}-{L.dim}")
+def test_multiplier_walks_the_support_triples_once(L):
+    walks = []
+
+    def counted(L):
+        walks.append(L)
+        return core._support_triples(L)
+
+    with mock.patch.object(cohomology, "_support_triples", counted):
+        cohomology.multiplier(L)
+    assert walks == [L]
+
+
+def _dependent(check, L, chosen):
+    try:
+        check(L, chosen)
+    except DependentClasses:
+        return True
+    return False
+
+
+def _independence_cases(L):
+    """Chosen lists mixing both parities: the representatives, then the
+    representatives with one dependent class appended or put first."""
+    reps = list(cohomology.multiplier(L).cocycle_basis)
+    cases = [reps, reps[::-1]]
+    for f in reps:
+        cases += [reps + [f.scale(-2)], [f.scale(3)] + reps]
+    for parity in (0, 1):
+        for b in cohomology.coboundary_space(L, parity)[:1]:
+            cases += [reps + [b], [b] + reps[::-1]]
+            cases += [reps[:1] + [b.plus(f)] + reps[1:] for f in reps if f.parity == parity][:1]
+    return cases
+
+
+@pytest.mark.parametrize("L", ALGEBRAS, ids=lambda L: f"{L.name}-{L.dim}")
+def test_central_extension_independence_matches_reference(L):
+    for chosen in _independence_cases(L):
+        expected = _dependent(reference.check_independent, L, chosen)
+        assert _dependent(cohomology.central_extension, L, chosen) == expected
+
+
+def test_mixed_parity_choice_with_a_dependent_class_raises():
+    L = heisenberg_odd(2)
+    reps = cohomology.multiplier(L).cocycle_basis
+    even = [f for f in reps if f.parity == 0]
+    odd = [f for f in reps if f.parity == 1]
+    assert even and odd
+    cohomology.central_extension(L, [odd[0], even[0]])  # independent
+    for chosen in ([even[0], odd[0], odd[0].scale(2)], [odd[0], even[0], even[0].scale(-1)],
+                   [even[0], odd[0], cohomology.coboundary_space(L, 1)[0]]):
+        with pytest.raises(DependentClasses):
+            cohomology.central_extension(L, chosen)
 
 
 @pytest.mark.parametrize("L", ALGEBRAS, ids=lambda L: f"{L.name}-{L.dim}")
