@@ -115,7 +115,8 @@ def _cocycle_equations(L: LieSuperalgebra):
                 # f(e_m, e_c) in terms of the free coordinates (0 for an even m == c)
                 key, t = _orient(p, m, c) or (None, 0)
                 if t:
-                    row[key] = row.get(key, 0) + t * s * cm
+                    v = cm if t == s else -cm
+                    row[key] = row[key] + v if key in row else v
         if row:
             yield row
 

@@ -15,6 +15,7 @@ of characteristic zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -57,27 +58,31 @@ def _free_pairs(parities) -> list[tuple[int, int]]:
     return [(i, j) for i in range(d) for j in range(i, d) if i < j or parities[i]]
 
 
-def _support_triples(L: LieSuperalgebra):
+def _support_triples(L: LieSuperalgebra, active: bool = False):
     """Yield, in sorted order, the triples i <= j <= k for which (i, j),
-    (j, k) or (i, k) is a stored constant key.
+    (j, k) or (i, k) is a stored constant key; with ``active``, only those
+    whose three indices are all active, that is, each in some stored key.
 
     Every other triple has the three inner brackets [e_i, e_j], [e_j, e_k]
     and [e_k, e_i] all zero, so its Jacobi term and its 2-cocycle equation
     are empty.  A stored pair (i, j) yields every k >= j at once; any other
     pair yields the stored neighbours k >= j of i and of j, merged.  So no
-    triple comes twice, and the cost is O(d² + output).
+    triple comes twice, and the cost is O(d² + output).  An inactive index
+    brackets to zero with everything, so the Jacobi check may skip it; the
+    cocycle equations may not, as f([e_i, e_j], e_k) = 0 constrains f.
     """
     d = L.dim
     up: list[list[int]] = [[] for _ in range(d)]  # up[a]: every b with (a, b) stored
     for (a, b), _ in L.constants:  # strictly increasing keys
         up[a].append(b)
-    for i in range(d):
+    idx = sorted({x for (a, b), _ in L.constants for x in (a, b)}) if active else range(d)
+    for n, i in enumerate(idx):
         ui, t = up[i], 0
-        for j in range(i, d):
+        for m, j in enumerate(idx[n:], n):
             while t < len(ui) and ui[t] < j:
                 t += 1
             if t < len(ui) and ui[t] == j:
-                ks = range(j, d)
+                ks = idx[m:]
             elif i == j or t == len(ui):
                 ks = up[j]
             elif not up[j]:
@@ -136,23 +141,27 @@ class LieSuperalgebra:
 
     def _check_jacobi(self):
         # Graded skew-symmetry makes the cyclic Jacobi expression symmetric
-        # enough that sorted triples i <= j <= k cover all cases.  A triple
-        # outside _support_triples has all three inner brackets zero, so its
-        # term is empty; the first failing triple is the same as over all
-        # sorted triples.
+        # enough that sorted triples i <= j <= k cover all cases.  A nonzero
+        # term needs all three indices active, so the first failing triple
+        # is the same as over all sorted triples.  The identity is
+        # homogeneous of degree 2 in the constants, so it is summed exactly
+        # in integers on D·c, D the lcm of their denominators, and a
+        # residual is scaled back by D².
         p = self.parities
-        for i, j, k in _support_triples(self):
-            res: dict[int, Fraction] = {}
+        D = math.lcm(*(c.denominator for _, vec in self.constants for _, c in vec))
+        table = {key: {k: c.numerator * (D // c.denominator) for k, c in vec.items()}
+                 for key, vec in self._table.items()}
+        for i, j, k in _support_triples(self, active=True):
+            res: dict[int, int] = {}
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                 s = _sign(p[a], p[c])
-                for m, cm in self.basis_bracket(a, b).items():
-                    if outer := self.basis_bracket(m, c):  # often empty in class 2
+                for m, cm in table.get((a, b), {}).items():
+                    if outer := table.get((m, c)):  # often empty in class 2
                         scm = s * cm
                         for t, ct in outer.items():
                             res[t] = res[t] + scm * ct if t in res else scm * ct
-            res = {t: v for t, v in res.items() if v != 0}
-            if res:
-                raise JacobiError(i, j, k, res)
+            if any(res.values()):
+                raise JacobiError(i, j, k, {t: Fraction(v, D * D) for t, v in res.items() if v})
 
     # -- basic structure -----------------------------------------------------
 

@@ -7,7 +7,10 @@ graded skew-symmetry they replace: the same brackets, cochain pairs and
 cochain values for every ordered index pair.  And the one system that
 ``cohomology`` solves for both parities against the former per-parity
 passes: the same superdimensions, representatives, cocycle and coboundary
-bases, and independence verdicts."""
+bases, and independence verdicts.  And the Jacobi check's walk over the
+triples of active indices, summed in integers: the same triples as the
+support triples with all three indices active, and the same first failing
+triple and residual; the cocycle equations keep every support triple."""
 
 import itertools
 import random
@@ -83,6 +86,57 @@ def test_support_triples_are_the_sorted_triples_touching_a_stored_key(L):
     expected = [(i, j, k) for i, j, k in itertools.combinations_with_replacement(range(L.dim), 3)
                 if (i, j) in table or (j, k) in table or (i, k) in table]
     assert list(core._support_triples(L)) == expected
+
+
+def _active(L):
+    """The indices of the stored keys: every other e_k brackets to zero."""
+    return {x for (a, b), _ in L.constants for x in (a, b)}
+
+
+# inactive indices: the centre of each cover, and the abelian summands
+ACTIVE_CASES = ALGEBRAS + [
+    *(free_two_step_cover(m, n).K for m, n in ((3, 1), (2, 2), (3, 2), (1, 3))),
+    core.direct_sum(heisenberg_even(1, 0), abelian(1, 0)),
+    core.direct_sum(abelian(2, 1), heisenberg_odd(2)),
+    core.direct_sum(heisenberg_even(2, 1), abelian(1, 2)),
+    core.direct_sum(abelian(1, 1), model_registry()[0]),
+]
+
+
+@pytest.mark.parametrize("L", ACTIVE_CASES, ids=lambda L: f"{L.name}-{L.dim}")
+def test_active_triples_are_the_support_triples_of_active_indices(L):
+    active = _active(L)
+    expected = [t for t in core._support_triples(L) if set(t) <= active]
+    assert list(core._support_triples(L, active=True)) == expected
+
+
+def test_some_cases_have_inactive_indices():
+    assert sum(len(_active(L)) < L.dim for L in ACTIVE_CASES) > len(ACTIVE_CASES) // 2
+
+
+def test_multiplier_keeps_the_constraints_of_inactive_indices():
+    # f([u, v], a) = f(z, a) = 0 for the inactive z and a; an active-only
+    # walk would drop it and report (5,0)
+    L = core.direct_sum(heisenberg_even(1, 0), abelian(1, 0))
+    assert cohomology.multiplier(L).sdim_M.as_tuple() == (4, 0)
+
+
+def test_cocycle_walk_visits_triples_with_an_inactive_index():
+    L = core.direct_sum(heisenberg_even(1, 0), abelian(1, 0))  # u, v, z, a: [u, v] = z
+    inactive = set(range(L.dim)) - _active(L)
+    assert inactive == {2, 3}
+    walked = []
+
+    def recorded(L, *args, **kwargs):
+        for t in core._support_triples(L, *args, **kwargs):
+            walked.append(t)
+            yield t
+
+    with mock.patch.object(cohomology, "_support_triples", recorded):
+        equations = list(cohomology._cocycle_equations(L))
+    assert walked == list(core._support_triples(L))
+    assert (0, 1, 3) in walked
+    assert {(2, 3): F(1)} in equations  # from the triple (u, v, a)
 
 
 @pytest.mark.parametrize("L", ALGEBRAS, ids=lambda L: f"{L.name}-{L.dim}")
@@ -203,11 +257,12 @@ def test_reversed_brackets_are_stored_not_copied(L):
         assert L.basis_bracket(j, i) is L.basis_bracket(j, i)
 
 
-def _perturb(rng, L):
-    """L's raw data with one structure constant changed or one added,
-    keeping the grading: the new coefficient is on a target of the
-    bracket's parity."""
-    consts = {key: dict(vec) for key, vec in L.constants}
+def _perturb(rng, L, denominator=None, consts=None):
+    """L's raw data, or ``consts`` if given, with one structure constant
+    changed or one added, keeping the grading: the new coefficient is on a
+    target of the bracket's parity, over ``denominator`` if given."""
+    if consts is None:
+        consts = {key: dict(vec) for key, vec in L.constants}
     p = L.parities
     pairs = [(i, j) for i in range(L.dim) for j in range(i, L.dim)
              if not (i == j and p[i] == 0)]
@@ -219,7 +274,8 @@ def _perturb(rng, L):
         return None
     k = rng.choice(targets)
     vec = consts.setdefault((i, j), {})
-    vec[k] = vec.get(k, 0) + F(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2))
+    q = rng.randint(1, 2) if denominator is None else denominator
+    vec[k] = vec.get(k, 0) + F(rng.choice((-2, -1, 1, 2)), q)
     return consts
 
 
@@ -231,6 +287,23 @@ def _first_failure(check, L):
     return None
 
 
+def _fails_on_the_reference_triple(L, consts):
+    """Whether the perturbed ``consts`` break Jacobi; the check and the
+    reference agree on the triple, the residual and the message."""
+    # build the perturbed value without the construction-time check
+    with mock.patch.object(core.LieSuperalgebra, "_check_jacobi", lambda self: None):
+        bad = core.validate(L.parities, consts)
+    expected = _first_failure(reference.check_jacobi, bad)
+    assert _first_failure(core.LieSuperalgebra._check_jacobi, bad) == expected
+    if expected is not None:
+        with pytest.raises(JacobiError) as exc:
+            core.validate(L.parities, consts)
+        assert (exc.value.i, exc.value.j, exc.value.k) == expected[:3]
+        assert list(exc.value.residual.items()) == list(expected[3].items())
+        assert str(exc.value) == str(JacobiError(*expected))
+    return expected is not None
+
+
 def test_perturbed_algebras_fail_on_the_reference_triple():
     rng = random.Random(7)
     failures = 0
@@ -239,14 +312,20 @@ def test_perturbed_algebras_fail_on_the_reference_triple():
             consts = _perturb(rng, L)
             if consts is None:
                 continue
-            # build the perturbed value without the construction-time check
-            with mock.patch.object(core.LieSuperalgebra, "_check_jacobi", lambda self: None):
-                bad = core.validate(L.parities, consts)
-            expected = _first_failure(reference.check_jacobi, bad)
-            assert _first_failure(core.LieSuperalgebra._check_jacobi, bad) == expected
-            failures += expected is not None
-            if expected is not None:
-                with pytest.raises(JacobiError) as exc:
-                    core.validate(L.parities, consts)
-                assert (exc.value.i, exc.value.j, exc.value.k) == expected[:3]
+            failures += _fails_on_the_reference_triple(L, consts)
     assert failures > len(ALGEBRAS)  # most perturbations break Jacobi
+    # three constants perturbed over the coprime denominators 3, 5 and 7,
+    # so the integer table is scaled by a D of 105 or a multiple
+    rng = random.Random(8)
+    failures = scaled = 0
+    for L in ALGEBRAS:
+        consts = None
+        for q in (3, 5, 7):
+            consts = _perturb(rng, L, q, consts) or consts
+        if consts is None:
+            continue
+        denominators = [F(c).denominator for vec in consts.values() for c in vec.values()]
+        scaled += all(any(n % q == 0 for n in denominators) for q in (3, 5, 7))
+        failures += _fails_on_the_reference_triple(L, consts)
+    assert scaled > len(ALGEBRAS) // 2
+    assert failures > len(ALGEBRAS) // 2
