@@ -114,6 +114,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args leaves the parser unchanged, and each
+# parser holds reference cycles that only the cyclic collector would free.
+_PARSER = _build_parser()
+
+
 def _cmd_validate(args) -> int:
     try:
         parse(_read(args.file))
@@ -250,7 +255,7 @@ def main(argv=None) -> int:
         print(USAGE, file=sys.stderr)
         return 64
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return COMMANDS[args.command](args)
     except _HelpShown:
         return 0

@@ -5,7 +5,8 @@ from __future__ import annotations
 import re
 
 from . import core
-from .core import DefiningPair, LieSuperalgebra, Subspace, quotient, validate
+from .cohomology import cover_candidate
+from .core import DefiningPair, LieSuperalgebra, Subspace, validate
 from .errors import InvalidParams, UnknownName
 
 
@@ -53,40 +54,25 @@ def free_two_step_cover(m: int, n: int) -> DefiningPair:
 
     Basis: u_i, x_{k,l} (k<l), z_{s,t} (s<=t) even; v_j, y_{p,q} odd, with
     [u_k,u_l] = x_{k,l}, [u_p,v_q] = y_{p,q}, [v_s,v_t] = z_{s,t}.
+
+    This is the cover candidate of Ab(m,n), relabelled.  Every 2-cochain of
+    an abelian algebra is a cocycle and none is a coboundary, so the class
+    representatives are the unit cochains on the free pairs in sorted order,
+    even first: x_{k,l}, then z_{s,t}, then y_{p,q}.  ``central_extension``
+    places L's even basis, the even generators, L's odd basis, then the odd
+    generators, which is u, x, z, v, y.
     """
     if m < 0 or n < 0:
         raise InvalidParams("dimensions must be >= 0")
-    even_labels = [f"u{i + 1}" for i in range(m)]
-    x_pos = {}
-    for k in range(m):
-        for l in range(k + 1, m):
-            x_pos[(k, l)] = len(even_labels)
-            even_labels.append(f"x{k + 1}_{l + 1}")
-    z_pos = {}
-    for s in range(n):
-        for t in range(s, n):
-            z_pos[(s, t)] = len(even_labels)
-            even_labels.append(f"z{s + 1}_{t + 1}")
-    ne = len(even_labels)
-    odd_labels = [f"v{j + 1}" for j in range(n)]
-    y_pos = {}
-    for p in range(m):
-        for q in range(n):
-            y_pos[(p, q)] = ne + len(odd_labels)
-            odd_labels.append(f"y{p + 1}_{q + 1}")
-    parities = [0] * ne + [1] * len(odd_labels)
-    consts = {}
-    for (k, l), pos in x_pos.items():
-        consts[(k, l)] = {pos: 1}
-    for (s, t), pos in z_pos.items():
-        consts[(ne + s, ne + t)] = {pos: 1}
-    for (p, q), pos in y_pos.items():
-        consts[(p, ne + q)] = {pos: 1}
-    H = validate(parities, consts, name=f"Cover(Ab({m},{n}))",
-                 labels=even_labels + odd_labels)
-    M = core.derived_subalgebra(H)
-    _, proj = quotient(H, M)
-    return DefiningPair(H, M, proj)
+    ext = cover_candidate(abelian(m, n))
+    labels = ([f"u{i + 1}" for i in range(m)]
+              + [f"x{k + 1}_{l + 1}" for k in range(m) for l in range(k + 1, m)]
+              + [f"z{s + 1}_{t + 1}" for s in range(n) for t in range(s, n)]
+              + [f"v{j + 1}" for j in range(n)]
+              + [f"y{p + 1}_{q + 1}" for p in range(m) for q in range(n)])
+    K = ext.algebra
+    H = LieSuperalgebra(K.parities, K.constants, f"Cover(Ab({m},{n}))", tuple(labels))
+    return DefiningPair(H, Subspace(H, ext.kernel.even, ext.kernel.odd), ext.projection)
 
 
 def model_l4() -> LieSuperalgebra:

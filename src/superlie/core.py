@@ -470,14 +470,15 @@ def second_center(L: LieSuperalgebra) -> Subspace:
 
 
 def lower_central_series(L: LieSuperalgebra) -> list[Subspace]:
-    """L ⊇ [L,L] ⊇ [L,[L,L]] ⊇ ... until stabilization."""
-    full = Subspace.full(L)
-    series = [full]
-    while series[-1].sdim != ZERO:
-        nxt = bracket_subspaces(L, full, series[-1])
-        if nxt == series[-1]:
-            break
+    """L ⊇ [L,L] ⊇ [L,[L,L]] ⊇ ... until stabilization.  The second term
+    is the cached derived subalgebra."""
+    series = [Subspace.full(L)]
+    nxt = derived_subalgebra(L)
+    while nxt != series[-1]:
         series.append(nxt)
+        if nxt.sdim == ZERO:
+            break
+        nxt = bracket_subspaces(L, series[0], nxt)
     return series
 
 

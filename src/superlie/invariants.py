@@ -46,7 +46,11 @@ def _central_quotient(L: LieSuperalgebra) -> LieSuperalgebra:
 
 
 def sdr_report(L: LieSuperalgebra) -> tuple[SignedPair, int]:
-    """sdr = bound(sdim L/Z(L)) - sdim L² and its total, read from ``report``."""
+    """sdr = bound(sdim L/Z(L)) - sdim L² and its total, read from ``report``.
+
+    The library reads ``report(L).sdr`` directly and no longer calls this.
+    It stays because the benchmark's tracer wraps it by name, and a traced
+    run stops with LookupError on a name the library no longer defines."""
     rep = report(L)
     return rep.sdr, rep.dr
 

@@ -34,7 +34,6 @@ from .invariants import (
     kunneth_check,
     lambda_mu,
     report,
-    sdr_report,
 )
 from .superdim import SignedPair, SuperDim, ZERO
 
@@ -138,8 +137,7 @@ def run_paper_checks(seed: int = 0, corpus_size: int = 100) -> dict[str, CheckRe
 
     l46_ok = True
     for L in algebras:
-        sdr, _ = sdr_report(L)
-        if sdr == ZERO:
+        if report(L).sdr == ZERO:
             qfp = fingerprint(_central_quotient(L))
             l46_ok &= qfp.sdim_L2 == ZERO or qfp == h10_fingerprint()
     results["Lemma 4.6"] = CheckResult(l46_ok, "sdr=(0,0) forces abelian or H(1,0) quotient")

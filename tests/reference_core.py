@@ -37,7 +37,10 @@ with the ``quotient`` here.  Tests compare ``second_center``,
 named without the leading underscore (``cocycle_equations_of_parity`` is the
 former ``_cocycle_equations``, ``check_independent`` the loop, taking L and
 the chosen cochains, and ``cocycle_basis`` takes its columns from the
-``cochain_pairs`` here); nothing outside the tests imports this module.
+``cochain_pairs`` here).  ``free_two_step_cover`` is the hand-built layout of
+``superlie.constructions`` from before it became the relabelled cover
+candidate of Ab(m,n); its ``quotient`` is the one here.  Nothing outside the
+tests imports this module.
 """
 
 import itertools
@@ -50,6 +53,7 @@ from superlie import core
 from superlie import linalg as _linalg
 from superlie.cohomology import Cochain2, MultiplierResult
 from superlie.core import (
+    DefiningPair,
     LieSuperalgebra,
     LinearMap,
     Subspace,
@@ -484,3 +488,44 @@ def check_independent(L: LieSuperalgebra, chosen) -> None:
         for f in chosen:
             if f.parity == parity and acc.add(dict(f.values)) is None:
                 raise DependentClasses("chosen classes are dependent modulo coboundaries")
+
+
+def free_two_step_cover(m: int, n: int) -> DefiningPair:
+    """The free class-2 central extension H of Ab(m,n), paired with H².
+
+    Basis: u_i, x_{k,l} (k<l), z_{s,t} (s<=t) even; v_j, y_{p,q} odd, with
+    [u_k,u_l] = x_{k,l}, [u_p,v_q] = y_{p,q}, [v_s,v_t] = z_{s,t}.
+    """
+    if m < 0 or n < 0:
+        raise InvalidParams("dimensions must be >= 0")
+    even_labels = [f"u{i + 1}" for i in range(m)]
+    x_pos = {}
+    for k in range(m):
+        for l in range(k + 1, m):
+            x_pos[(k, l)] = len(even_labels)
+            even_labels.append(f"x{k + 1}_{l + 1}")
+    z_pos = {}
+    for s in range(n):
+        for t in range(s, n):
+            z_pos[(s, t)] = len(even_labels)
+            even_labels.append(f"z{s + 1}_{t + 1}")
+    ne = len(even_labels)
+    odd_labels = [f"v{j + 1}" for j in range(n)]
+    y_pos = {}
+    for p in range(m):
+        for q in range(n):
+            y_pos[(p, q)] = ne + len(odd_labels)
+            odd_labels.append(f"y{p + 1}_{q + 1}")
+    parities = [0] * ne + [1] * len(odd_labels)
+    consts = {}
+    for (k, l), pos in x_pos.items():
+        consts[(k, l)] = {pos: 1}
+    for (s, t), pos in z_pos.items():
+        consts[(ne + s, ne + t)] = {pos: 1}
+    for (p, q), pos in y_pos.items():
+        consts[(p, ne + q)] = {pos: 1}
+    H = validate(parities, consts, name=f"Cover(Ab({m},{n}))",
+                 labels=even_labels + odd_labels)
+    M = core.derived_subalgebra(H)
+    _, proj = quotient(H, M)
+    return DefiningPair(H, M, proj)

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -154,6 +155,29 @@ def test_multiplier_cocycles(capsys):
         for label_i, label_j, coef in c["entries"]:
             assert label_i in ("u1", "v1", "z") and label_j in ("u1", "v1", "z")
             assert coef  # rendered as a rational string
+
+
+def test_parser_keeps_no_flag_between_calls(capsys):
+    assert main(["multiplier", "--builtin", "H(1,0)", "--json", "--cocycles"]) == 0
+    assert "cocycles" in json.loads(capsys.readouterr().out)
+    assert main(["multiplier", "--builtin", "H(1,0)", "--json"]) == 0
+    assert "cocycles" not in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["cover", "--builtin", "H(1,0)"], 0),
+    (["invariants", "--builtin", "H(1,1)", "--json"], 0),
+    (["invariants", "--builtin", "H(1,0)", "--bogus"], 64),
+])
+def test_main_leaves_no_cyclic_garbage(capsys, argv, code):
+    main(argv)  # warm-up: first-call caches such as compiled regexes
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == code
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
 
 
 # `multiplier --json --cocycles` stdout, frozen before the cochain

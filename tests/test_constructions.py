@@ -1,5 +1,6 @@
 import pytest
 
+import reference_core as reference
 from superlie import core
 from superlie.cohomology import multiplier
 from superlie.constructions import (
@@ -14,6 +15,7 @@ from superlie.constructions import (
 from superlie.core import center, derived_subalgebra
 from superlie.classify import recognize_heisenberg
 from superlie.errors import InvalidParams, UnknownName
+from superlie.fileformat import emit
 from superlie.superdim import SuperDim, ZERO, bound
 
 
@@ -84,6 +86,22 @@ def test_free_two_step_cover_small_cases():
     pair = free_two_step_cover(1, 1)
     assert pair.K.sdim == SuperDim(2, 2)
     assert multiplier(pair.K).sdim_M.leq(bound(pair.K.sdim))
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_free_two_step_cover_matches_reference(m):
+    """The relabelled cover candidate of Ab(m,n) against the hand-built
+    layout: same text, algebra, kernel and projection, entry types included."""
+    for n in range(7):
+        pair, ref = free_two_step_cover(m, n), reference.free_two_step_cover(m, n)
+        assert emit(pair.K) == emit(ref.K)
+        assert pair.K == ref.K
+        assert pair.M == ref.M
+        assert pair.projection.matrix == ref.projection.matrix
+        assert ([[type(c) for c in row] for row in pair.projection.matrix]
+                == [[type(c) for c in row] for row in ref.projection.matrix])
+    with pytest.raises(InvalidParams):
+        free_two_step_cover(m, -1)
 
 
 def test_builtin_dispatch():
