@@ -118,20 +118,20 @@ def recognize_heisenberg(L: LieSuperalgebra):
 
 
 def classify_mr_le2(L: LieSuperalgebra):
-    """TableEntry for a nilpotent algebra of multiplier-rank <= 2, or a
-    NotCovered outcome.  A rank <= 2 algebra missing every table fingerprint
+    """The ``TABLE`` row a nilpotent algebra of multiplier-rank <= 2 matches,
+    or a NotCovered outcome.  A rank <= 2 algebra missing every table fingerprint
     would falsify the classification and is flagged as a contradiction."""
     nil, _ = core.is_nilpotent(L)
     if not nil:
         raise NotNilpotent(L.name)
     fp = fingerprint(L)
     if fp.sdim_L2 == ZERO:
-        return TableEntry(ABELIAN, SuperDim(0, 0))
+        return TABLE[0]
     if fp.smr.total() > 2:
         return NotCovered(f"mr = {fp.smr.total()} > 2")
-    for label in (H10, H10_AB10, H10_AB01, H01):
-        if fp == _model_fingerprint(label):
-            return TableEntry(label, fp.smr.to_superdim())
+    for entry in TABLE[1:]:
+        if fp == _model_fingerprint(entry.label):
+            return entry
     return NotCovered(
         f"mr <= 2 but fingerprint {fp} matches no table row", contradiction=True)
 

@@ -171,11 +171,11 @@ class LieSuperalgebra:
 
     @property
     def n_even(self) -> int:
-        return sum(1 for p in self.parities if p == 0)
+        return self.parities.count(0)
 
     @property
     def n_odd(self) -> int:
-        return sum(1 for p in self.parities if p == 1)
+        return self.parities.count(1)
 
     @property
     def sdim(self) -> SuperDim:
@@ -287,7 +287,8 @@ class Subspace:
     @classmethod
     def _canonical(cls, parent: LieSuperalgebra, rows: list[Coeffs]) -> "Subspace":
         """Split homogeneous canonical rows sorted by pivot: a row's parity is its pivot's."""
-        k = sum(1 for r in rows if r[0][0] < parent.n_even)
+        ne = parent.n_even
+        k = sum(1 for r in rows if r[0][0] < ne)
         return cls(parent, tuple(rows[:k]), tuple(rows[k:]))
 
     @classmethod

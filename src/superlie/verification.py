@@ -13,16 +13,15 @@ from fractions import Fraction
 
 from . import core
 from .classify import (
-    H01,
-    NotCovered,
-    classify_mr_le2,
-    h10_fingerprint,
-    fingerprint,
-    verify_theorem_table,
-    _model,
-    _model_fingerprint,
     H10_AB01,
     H10_AB10,
+    NotCovered,
+    TableEntry,
+    classify_mr_le2,
+    fingerprint,
+    h10_fingerprint,
+    verify_theorem_table,
+    _model,
 )
 from .cohomology import multiplier
 from .constructions import abelian, heisenberg_even, heisenberg_odd, model_l4, model_registry
@@ -84,19 +83,16 @@ def run_paper_checks(seed: int = 0, corpus_size: int = 100) -> dict[str, CheckRe
     algebras = corpus(seed, corpus_size)
     rng = random.Random(seed + 1)
     results: dict[str, CheckResult] = {}
-    bound_reports = [(L, check_bounds(L)) for L in algebras]
+    reports = [report(L) for L in algebras]
+    bound_reports = [check_bounds(L) for L in algebras]
+    outcomes = [classify_mr_le2(L) for L in algebras]
 
-    bad = [L.name for L, r in bound_reports if not r.derived_le_bound]
-    results["Lemma 2.2"] = CheckResult(
-        not bad, f"derived bound on {len(algebras)} corpus algebras")
-
-    bad = [L.name for L, r in bound_reports if not r.multiplier_le_bound]
-    results["Lemma 2.3"] = CheckResult(
-        not bad, f"multiplier bound on {len(algebras)} corpus algebras")
-
-    bad = [L.name for L, r in bound_reports if not r.central_derived_le_quotient_multiplier]
-    results["Lemma 2.4"] = CheckResult(
-        not bad, f"central-derived bound on {len(algebras)} corpus algebras")
+    for key, field, what in (
+            ("Lemma 2.2", "derived_le_bound", "derived"),
+            ("Lemma 2.3", "multiplier_le_bound", "multiplier"),
+            ("Lemma 2.4", "central_derived_le_quotient_multiplier", "central-derived")):
+        results[key] = CheckResult(all(getattr(b, field) for b in bound_reports),
+                                   f"{what} bound on {len(algebras)} corpus algebras")
 
     named = [abelian(1, 0), abelian(0, 1), abelian(2, 2), heisenberg_even(1, 0),
              heisenberg_even(0, 1), heisenberg_odd(1), heisenberg_odd(2), model_l4()]
@@ -125,8 +121,8 @@ def run_paper_checks(seed: int = 0, corpus_size: int = 100) -> dict[str, CheckRe
     results["Prop 4.5"] = CheckResult(odd_ok, "odd-center Heisenberg multipliers, k <= 4")
 
     lm_ok = True
-    for L in algebras:
-        m_n = report(L).sdim_LmodZ
+    for L, r in zip(algebras, reports):
+        m_n = r.sdim_LmodZ
         for z in _central_z2_samples(L, rng):
             lam, mu = lambda_mu(L, z)
             if L.vector_parity(z) == 0:
@@ -136,33 +132,26 @@ def run_paper_checks(seed: int = 0, corpus_size: int = 100) -> dict[str, CheckRe
     results["Lemma 4.1"] = CheckResult(lm_ok, "lambda/mu bounds on corpus second centers")
 
     l46_ok = True
-    for L in algebras:
-        if report(L).sdr == ZERO:
+    for L, r in zip(algebras, reports):
+        if r.sdr == ZERO:
             qfp = fingerprint(_central_quotient(L))
             l46_ok &= qfp.sdim_L2 == ZERO or qfp == h10_fingerprint()
     results["Lemma 4.6"] = CheckResult(l46_ok, "sdr=(0,0) forces abelian or H(1,0) quotient")
 
-    reports = [report(L) for L in algebras]
-    no_01 = all(r.smr != SignedPair(0, 1) for r in reports)
-    rank1_ok = all(fingerprint(L) == h10_fingerprint()
-                   for L, r in zip(algebras, reports) if r.smr == SignedPair(1, 0))
-    results["Prop 4.8"] = CheckResult(
-        no_01 and rank1_ok, "no smr=(0,1); smr=(1,0) matches the H(1,0) fingerprint")
+    def rows_hold(mr: int) -> bool:
+        """Every corpus algebra of multiplier-rank ``mr`` is classified to a
+        table row, and the row states the smr the algebra has."""
+        return all(isinstance(out, TableEntry) and out.smr == r.smr
+                   for r, out in zip(reports, outcomes) if r.mr == mr)
 
-    no_02 = all(r.smr != SignedPair(0, 2) for r in reports)
-    p56_ok = no_02
-    for L, r in zip(algebras, reports):
-        if r.smr == SignedPair(2, 0):
-            p56_ok &= fingerprint(L) == _model_fingerprint(H10_AB10)
-        if r.smr == SignedPair(1, 1):
-            p56_ok &= fingerprint(L) in (_model_fingerprint(H10_AB01), _model_fingerprint(H01))
-    p56_ok &= _sdim_M(_model(H10_AB10)) == SuperDim(4, 0)
-    p56_ok &= _sdim_M(_model(H10_AB01)) == SuperDim(3, 2)
-    no_flag = all(
-        not (isinstance(out, NotCovered) and out.contradiction)
-        for out in (classify_mr_le2(L) for L in algebras))
+    results["Prop 4.8"] = CheckResult(
+        rows_hold(1), "no smr=(0,1); smr=(1,0) matches the H(1,0) fingerprint")
+
+    no_flag = not any(isinstance(out, NotCovered) and out.contradiction for out in outcomes)
+    models_ok = (_sdim_M(_model(H10_AB10)) == SuperDim(4, 0)
+                 and _sdim_M(_model(H10_AB01)) == SuperDim(3, 2))
     results["Prop 5.6"] = CheckResult(
-        p56_ok and no_flag, "rank-2 fingerprints and direct-sum multipliers")
+        rows_hold(2) and no_flag and models_ok, "rank-2 fingerprints and direct-sum multipliers")
 
     results["Theorem table"] = CheckResult(
         table.all_ok, f"{len(table.rows)} rows confirmed, fingerprints distinct")

@@ -6,10 +6,10 @@ contributes one pass/fail line to the terminal summary.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
+from base_change import random_parity_preserving
 from conftest import record
 from superlie.classify import (
     NotCovered,
@@ -30,11 +30,8 @@ from superlie.constructions import (
 from superlie.core import center, change_basis, direct_sum, quotient
 from superlie.corpus import corpus
 from superlie.invariants import check_bounds, kunneth_check, lambda_mu, report
-from superlie.linalg import invert
 from superlie.superdim import SignedPair, SuperDim, ZERO, bound
 from superlie.verification import _central_z2_samples
-
-F = Fraction
 
 FORBIDDEN_SMR = (SignedPair(0, 1), SignedPair(0, 2))
 
@@ -138,21 +135,6 @@ def test_criterion_08_structural_quotients(big_corpus):
     check(8, "sdr = (0,0) quotients and lambda/mu bounds", ok)
 
 
-def _random_parity_preserving(rng, L):
-    d = L.dim
-    while True:
-        P = [[F(0)] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                if L.parities[i] == L.parities[j]:
-                    P[i][j] = F(rng.randint(-2, 2))
-        try:
-            invert(P)
-            return P
-        except ValueError:
-            continue
-
-
 def _report_fields(rep):
     return (rep.sdim_L, rep.sdim_L2, rep.sdim_Z, rep.sdim_LmodZ, rep.sdim_M,
             rep.smr, rep.mr, rep.sdr, rep.dr, rep.nilpotency_class)
@@ -164,7 +146,7 @@ def test_criterion_09_base_change_invariance():
     for L in (heisenberg_even(2, 1), heisenberg_odd(2), model_l4()):
         baseline = _report_fields(report(L))
         for _ in range(20):
-            P = _random_parity_preserving(rng, L)
+            P = random_parity_preserving(rng, L)
             ok &= _report_fields(report(change_basis(L, P))) == baseline
     check(9, "invariants stable under 20 random basis changes per model", ok)
 

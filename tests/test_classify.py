@@ -1,8 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
+from base_change import random_parity_preserving
 from superlie.classify import (
     ABELIAN,
     H01,
@@ -21,8 +21,6 @@ from superlie.constructions import abelian, heisenberg_even, heisenberg_odd, mod
 from superlie.core import change_basis, direct_sum, validate
 from superlie.errors import NotNilpotent
 from superlie.superdim import SuperDim
-
-F = Fraction
 
 
 def test_table_contents():
@@ -70,25 +68,9 @@ def test_classification_invariant_under_base_change():
     rng = random.Random(11)
     for L, label in [(heisenberg_even(1, 0), H10), (heisenberg_even(0, 1), H01)]:
         for _ in range(5):
-            P = _random_parity_preserving(rng, L)
+            P = random_parity_preserving(rng, L)
             out = classify_mr_le2(change_basis(L, P))
             assert isinstance(out, TableEntry) and out.label == label
-
-
-def _random_parity_preserving(rng, L):
-    d = L.dim
-    while True:
-        P = [[F(0)] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                if L.parities[i] == L.parities[j]:
-                    P[i][j] = F(rng.randint(-2, 2))
-        try:
-            from superlie.linalg import invert
-            invert(P)
-            return P
-        except ValueError:
-            continue
 
 
 def test_fingerprint_distinguishes_table_rows():

@@ -1,0 +1,100 @@
+"""The ``verify-paper`` ledger reads the multiplier-rank <= 2 table through
+the classifier.
+
+``classify_mr_le2`` returns the ``TABLE`` row it matched, so Props 4.8 and 5.6
+compare the row's stated smr with the algebra's.  Each fault below rewrites
+``report`` in both ``verification`` and ``classify`` and must fail exactly the
+checks listed with it.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from base_change import random_parity_preserving
+from superlie import classify, verification
+from superlie.classify import TABLE, classify_mr_le2
+from superlie.constructions import abelian
+from superlie.core import change_basis
+from superlie.invariants import report
+from superlie.superdim import SuperDim
+
+SEED, SIZE = 0, 100
+
+
+def _smr_to(old, new):
+    return lambda rep, in_corpus: replace(rep, smr=new) if rep.smr == old else rep
+
+
+def _corpus_center_plus_even(smr):
+    """One more even central dimension on the corpus algebras with ``smr``."""
+    def fault(rep, in_corpus):
+        if in_corpus and rep.smr == smr:
+            return replace(rep, sdim_Z=SuperDim(rep.sdim_Z.even + 1, rep.sdim_Z.odd))
+        return rep
+    return fault
+
+
+FAULTS = {
+    "smr (1,0) -> (0,1)": (_smr_to(SuperDim(1, 0), SuperDim(0, 1)),
+                           {"Prop 4.8", "Theorem table"}),
+    "smr (1,1) -> (0,2)": (_smr_to(SuperDim(1, 1), SuperDim(0, 2)),
+                           {"Prop 5.6", "Theorem table"}),
+    "smr (1,1) -> (2,0)": (_smr_to(SuperDim(1, 1), SuperDim(2, 0)),
+                           {"Prop 5.6", "Theorem table"}),
+    "corpus sdim Z +(1,0) at smr (1,0)": (_corpus_center_plus_even(SuperDim(1, 0)),
+                                          {"Prop 4.8", "Prop 5.6"}),
+    "corpus sdim Z +(1,0) at smr (1,1)": (_corpus_center_plus_even(SuperDim(1, 1)),
+                                          {"Prop 5.6"}),
+}
+
+
+@pytest.fixture
+def fresh_model_fingerprints():
+    """The model fingerprints are cached; a faulty ``report`` must neither
+    read nor leave behind a cached value."""
+    classify._model_fingerprint.cache_clear()
+    yield
+    classify._model_fingerprint.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_model_fingerprints")
+@pytest.mark.parametrize("name", FAULTS)
+def test_fault_fails_exactly_its_checks(monkeypatch, name):
+    fault, expected = FAULTS[name]
+    algebras, changed = [], []
+    make_corpus = verification.corpus
+
+    def recording_corpus(seed, size):
+        algebras.extend(make_corpus(seed, size))
+        return algebras
+
+    def faulty_report(L):
+        rep = report(L)
+        out = fault(rep, any(L is A for A in algebras))
+        if out is not rep:
+            changed.append(L)
+        return out
+
+    monkeypatch.setattr(verification, "corpus", recording_corpus)
+    monkeypatch.setattr(verification, "report", faulty_report)
+    monkeypatch.setattr(classify, "report", faulty_report)
+    results = verification.run_paper_checks(SEED, SIZE)
+    assert changed, "the fault rewrote no report"
+    assert {key for key, res in results.items() if not res.passed} == expected
+
+
+def test_ledger_passes_without_a_fault():
+    assert all(res.passed for res in verification.run_paper_checks(SEED, SIZE).values())
+
+
+MODELS = [(abelian(2, 1), TABLE[0])] + [(classify._model(e.label), e) for e in TABLE[1:]]
+
+
+@pytest.mark.parametrize("L, entry", MODELS, ids=[e.label for _, e in MODELS])
+def test_classifier_returns_the_table_row(L, entry):
+    rng = random.Random(13)
+    assert classify_mr_le2(L) is entry
+    for _ in range(3):
+        assert classify_mr_le2(change_basis(L, random_parity_preserving(rng, L))) is entry
