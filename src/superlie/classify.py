@@ -85,15 +85,6 @@ def _model(label: str) -> LieSuperalgebra:
     raise KeyError(label)
 
 
-@lru_cache(maxsize=None)
-def _model_fingerprint(label: str) -> Fingerprint:
-    return fingerprint(_model(label))
-
-
-def h10_fingerprint() -> Fingerprint:
-    return _model_fingerprint(H10)
-
-
 def recognize_heisenberg(L: LieSuperalgebra):
     """('even', p, q), ('odd', k) or None.
 
@@ -130,7 +121,7 @@ def classify_mr_le2(L: LieSuperalgebra):
     if fp.smr.total() > 2:
         return NotCovered(f"mr = {fp.smr.total()} > 2")
     for entry in TABLE[1:]:
-        if fp == _model_fingerprint(entry.label):
+        if fp == fingerprint(_model(entry.label)):
             return entry
     return NotCovered(
         f"mr <= 2 but fingerprint {fp} matches no table row", contradiction=True)
@@ -161,6 +152,6 @@ def verify_theorem_table() -> TableReport:
     for entry in TABLE[1:]:
         got = report(_model(entry.label)).smr
         rows.append((entry.label, entry.smr, got, got == entry.smr))
-    fps = [_model_fingerprint(e.label) for e in TABLE[1:]]
+    fps = [fingerprint(_model(e.label)) for e in TABLE[1:]]
     distinct = len(set(fps)) == len(fps)
     return TableReport(rows=tuple(rows), fingerprints_distinct=distinct)

@@ -63,6 +63,8 @@ def _read(path: str) -> str:
 
 
 def _load(args):
+    if args.builtin and args.file:
+        raise InvalidParams("give either a file or --builtin NAME, not both")
     if args.builtin:
         return builtin(args.builtin)
     if not args.file:

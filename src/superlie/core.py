@@ -181,9 +181,6 @@ class LieSuperalgebra:
     def sdim(self) -> SuperDim:
         return SuperDim(self.n_even, self.n_odd)
 
-    def parity(self, i: int) -> int:
-        return self.parities[i]
-
     @cached_property
     def _table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         """Every nonzero [e_i, e_j], stored under both (i, j) and (j, i)."""
@@ -443,7 +440,7 @@ def _ad_kernel(L: LieSuperalgebra, targets: list[linalg.Row], modulo: Subspace) 
             for k, x in ech.reduce(_bracket(L, {i: 1}, t)).items():
                 eqs.setdefault((t_idx, k), {})[i] = x
     kernel = linalg.Echelon(eqs.values()).kernel_basis(range(L.dim))
-    # The kernel basis is not canonical yet; its rref is.  This stays the
+    # The kernel basis is not canonical yet; its rref is.  This is the
     # library's one linalg.rref call, which bench/test_bench.py requires
     # until the benchmark traces Echelon itself (ROADMAP item 1).
     rows = linalg.rref([linalg._dense(v, L.dim) for v in kernel])
@@ -555,16 +552,20 @@ def change_basis(L: LieSuperalgebra, P) -> LieSuperalgebra:
     d = L.dim
     if len(P) != d or any(len(r) != d for r in P):
         raise InvalidParams("base-change matrix has the wrong shape")
-    for i in range(d):
-        for a in range(d):
-            if P[i][a] != 0 and L.parities[i] != L.parities[a]:
-                raise ParityMixing(f"entry ({i},{a}) mixes parities")
-    try:
-        Pinv = linalg.invert(P)
-    except ValueError as exc:
-        raise SingularMatrix(str(exc)) from exc
-    cols = [{i: P[i][a] for i in range(d) if P[i][a]} for a in range(d)]
-    inv_cols = [{i: Pinv[i][k] for i in range(d) if Pinv[i][k]} for k in range(d)]
+    cols: list[linalg.Row] = [{} for _ in range(d)]
+    aug = [{(1, i): 1} for i in range(d)]  # the rows of [P | I], I's columns labelled (1, k)
+    for i, row in enumerate(P):
+        for a, x in enumerate(row):
+            if x:
+                if L.parities[i] != L.parities[a]:
+                    raise ParityMixing(f"entry ({i},{a}) mixes parities")
+                cols[a][i] = aug[i][0, a] = x
+    # P is invertible exactly when canonical row i pivots at (0, i); the row is
+    # then e_i followed by row i of P^-1
+    rows = linalg.Echelon(aug).rows()
+    if any(min(r) != (0, i) for i, r in enumerate(rows)):
+        raise SingularMatrix("matrix is singular")
+    inv_cols = [{i: r[1, k] for i, r in enumerate(rows) if (1, k) in r} for k in range(d)]
     consts: dict[tuple[int, int], linalg.Row] = {key: {} for key in _free_pairs(L.parities)}
     for (a, b), u in consts.items():  # validate drops the pairs left empty
         for k, x in _bracket(L, cols[a], cols[b]).items():

@@ -15,8 +15,8 @@ positions and back.
 
 ``rref``, ``rank``, ``nullspace`` and ``reduce_mod`` are thin wrappers over
 the kernel that take and return dense row vectors (tuples of Fraction), with
-columns labelled 0, 1, ...; so do ``invert`` and ``mat_vec``.  There are no
-dense vector helpers: the library converts only at its public edge.
+columns labelled 0, 1, ...; so does ``mat_vec``.  There are no dense vector
+helpers: the library converts only at its public edge.
 """
 
 from __future__ import annotations
@@ -183,17 +183,6 @@ def nullspace(rows, ncols: int) -> list[Vec]:
     """Canonical echelon basis of {x : A x = 0} for A given by dense rows."""
     kernel = Echelon(sparse(r) for r in rows).kernel_basis(range(ncols))
     return Echelon(kernel).dense(ncols)
-
-
-def invert(rows) -> list[Vec]:
-    """Inverse of a square matrix, or raise ValueError if singular."""
-    n = len(rows)
-    aug = [list(r) + [_ONE if i == j else _ZERO for j in range(n)] for i, r in enumerate(rows)]
-    red = rref(aug)
-    # [A | I] has rank n, and A is invertible exactly when row i pivots at i
-    if any(r[i] != 1 for i, r in enumerate(red)):
-        raise ValueError("matrix is singular")
-    return [tuple(r[n:]) for r in red]
 
 
 def mat_vec(rows, v: Vec) -> Vec:

@@ -13,13 +13,13 @@ from fractions import Fraction
 
 from . import core
 from .classify import (
+    H10,
     H10_AB01,
     H10_AB10,
     NotCovered,
     TableEntry,
     classify_mr_le2,
     fingerprint,
-    h10_fingerprint,
     verify_theorem_table,
     _model,
 )
@@ -135,7 +135,7 @@ def run_paper_checks(seed: int = 0, corpus_size: int = 100) -> dict[str, CheckRe
     for L, r in zip(algebras, reports):
         if r.sdr == ZERO:
             qfp = fingerprint(_central_quotient(L))
-            l46_ok &= qfp.sdim_L2 == ZERO or qfp == h10_fingerprint()
+            l46_ok &= qfp.sdim_L2 == ZERO or qfp == fingerprint(_model(H10))
     results["Lemma 4.6"] = CheckResult(l46_ok, "sdr=(0,0) forces abelian or H(1,0) quotient")
 
     def rows_hold(mr: int) -> bool:

@@ -1,7 +1,9 @@
-"""Random parity-preserving base changes, shared by the test modules.
+"""Random parity-preserving base changes and the test algebras shared by
+the test modules.
 
 ``random_parity_preserving`` draws from a ``random.Random``; ``base_changed``
-is the hypothesis strategy over a given list of algebras.
+is the hypothesis strategy over a given list of algebras.  ``SO3`` is
+so(3), a non-nilpotent algebra with trivial center.
 """
 
 from fractions import Fraction
@@ -9,11 +11,13 @@ from fractions import Fraction
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from superlie.core import change_basis
+from reference_linalg import invert
+from superlie.core import change_basis, validate
 from superlie.errors import SingularMatrix
-from superlie.linalg import invert
 
 F = Fraction
+
+SO3 = validate([0, 0, 0], {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}}, name="so3")
 
 rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 

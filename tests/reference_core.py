@@ -25,8 +25,8 @@ argument, ``cochain_value`` is the former ``Cochain2.__call__``, and
 ``ad_kernel``, the former ``_ad_kernel``, build a ``DenseSubspace``, which
 holds the former ``Subspace`` fields).  Their ``linalg`` is the library's
 kernel with the dense vector helpers (``zero_vec``, ``vec_add``,
-``vec_scale``) and the elimination (``reduce_mod``, ``nullspace``) taken from
-the dense seed kernel in ``reference_linalg``.  ``second_center`` quotients
+``vec_scale``) and the elimination (``reduce_mod``, ``nullspace``,
+``invert``) taken from the dense seed kernel in ``reference_linalg``.  ``second_center`` quotients
 with the ``quotient`` here.  Tests compare ``second_center``,
 ``Subspace.intersection``, ``derived_subalgebra``, ``lambda_mu``, ``bracket``,
 ``direct_sum``, ``check_jacobi``, ``cocycle_equations``, ``Cochain2.plus``,
@@ -91,7 +91,7 @@ linalg = SimpleNamespace(
     rref=_linalg.rref,
     _dense=_linalg._dense,
     pivots=reference_linalg.pivots,
-    invert=_linalg.invert,
+    invert=reference_linalg.invert,
     mat_vec=_linalg.mat_vec,
 )
 

@@ -1,12 +1,15 @@
 """The dense elimination kernel that ``superlie.linalg`` used before its
 sparse incremental ``Echelon``, kept word for word as the test reference,
-and the dense vector helpers ``zero_vec``, ``is_zero``, ``vec_add`` and
-``vec_scale`` that the library no longer has.
+the dense vector helpers ``zero_vec``, ``is_zero``, ``vec_add`` and
+``vec_scale`` that the library no longer has, and its former ``invert``
+(over the ``rref`` here), which ``core.change_basis`` replaced with its own
+elimination of [P | I].
 
 Tests compare the library's ``rref``, ``nullspace`` and ``reduce_mod``
-against these on random rational matrices, and ``reference_core`` runs the
-earlier subspace calculus on them; nothing outside the tests imports this
-module.
+against these on random rational matrices, ``reference_core`` runs the
+earlier subspace calculus on them, and the base-change helpers redraw a
+singular P when ``invert`` rejects it; nothing outside the tests imports
+this module.
 """
 
 from fractions import Fraction
@@ -94,3 +97,14 @@ def nullspace(rows, ncols: int) -> list[Vec]:
             v[p] = -row[c]
         basis.append(tuple(v))
     return rref(basis)
+
+
+def invert(rows) -> list[Vec]:
+    """Inverse of a square matrix, or raise ValueError if singular."""
+    n = len(rows)
+    aug = [list(r) + [_ONE if i == j else _ZERO for j in range(n)] for i, r in enumerate(rows)]
+    red = rref(aug)
+    # [A | I] has rank n, and A is invertible exactly when row i pivots at i
+    if any(r[i] != 1 for i, r in enumerate(red)):
+        raise ValueError("matrix is singular")
+    return [tuple(r[n:]) for r in red]

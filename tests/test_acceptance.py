@@ -16,7 +16,6 @@ from superlie.classify import (
     TableEntry,
     classify_mr_le2,
     fingerprint,
-    h10_fingerprint,
     verify_theorem_table,
 )
 from superlie.cohomology import cover_candidate, multiplier
@@ -102,12 +101,13 @@ def test_criterion_06_bound_suite(big_corpus):
 
 
 def test_criterion_07_forbidden_and_rank1(big_corpus):
+    h10 = fingerprint(heisenberg_even(1, 0))
     ok = True
     for L in big_corpus:
         rep = report(L)
         ok &= rep.smr not in FORBIDDEN_SMR
         if rep.smr == SignedPair(1, 0):
-            ok &= fingerprint(L) == h10_fingerprint()
+            ok &= fingerprint(L) == h10
         if rep.mr <= 2:
             out = classify_mr_le2(L)
             ok &= isinstance(out, TableEntry)
@@ -116,6 +116,7 @@ def test_criterion_07_forbidden_and_rank1(big_corpus):
 
 
 def test_criterion_08_structural_quotients(big_corpus):
+    h10 = fingerprint(heisenberg_even(1, 0))
     rng = random.Random(8)
     ok = True
     for L in big_corpus:
@@ -123,7 +124,7 @@ def test_criterion_08_structural_quotients(big_corpus):
         if rep.sdr == ZERO:
             Q, _ = quotient(L, center(L))
             qfp = fingerprint(Q)
-            ok &= qfp.sdim_L2 == ZERO or qfp == h10_fingerprint()
+            ok &= qfp.sdim_L2 == ZERO or qfp == h10
         m_n = rep.sdim_LmodZ
         for z in _central_z2_samples(L, rng):
             lam, mu = lambda_mu(L, z)

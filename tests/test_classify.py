@@ -14,8 +14,8 @@ from superlie.classify import (
     TableEntry,
     classify_mr_le2,
     fingerprint,
-    h10_fingerprint,
     verify_theorem_table,
+    _model,
 )
 from superlie.constructions import abelian, heisenberg_even, heisenberg_odd, model_l4
 from superlie.core import change_basis, direct_sum, validate
@@ -81,7 +81,7 @@ def test_fingerprint_distinguishes_table_rows():
         fingerprint(direct_sum(heisenberg_even(1, 0), abelian(0, 1))),
     ]
     assert len(set(fps)) == 4
-    assert fps[0] == h10_fingerprint()
+    assert fps[0] == fingerprint(_model(H10))
 
 
 def test_fingerprint_fields():

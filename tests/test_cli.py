@@ -138,6 +138,17 @@ def test_invariants_missing_source(capsys):
     assert main(["invariants"]) == 1
 
 
+@pytest.mark.parametrize("cmd", ["invariants", "multiplier", "classify", "cover"])
+def test_file_and_builtin_together(good_file, tmp_path, capsys, cmd):
+    """Two sources are rejected before either is read, whether or not the
+    file exists."""
+    for path in (good_file, str(tmp_path / "missing.lsa")):
+        assert main([cmd, path, "--builtin", "H(1,0)"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: InvalidParams: give either a file or --builtin NAME, not both\n"
+
+
 def test_multiplier_json(capsys):
     assert main(["multiplier", "--builtin", "H(2)", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

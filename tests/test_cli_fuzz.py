@@ -12,15 +12,14 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 import pytest
 
+from base_change import SO3
 from superlie.cli import main
 from superlie.constructions import abelian, heisenberg_odd, model_registry
-from superlie.core import validate
 from superlie.corpus import corpus
 from superlie.fileformat import emit
 
 EXIT_CODES = {0, 1, 2, 64}
 
-SO3 = validate([0, 0, 0], {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}}, name="so3")
 TEXTS = [emit(L) for L in model_registry() + [abelian(2, 1), heisenberg_odd(3), SO3]
          + corpus(0, 5)]
 

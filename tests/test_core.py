@@ -430,6 +430,33 @@ def test_change_basis_rejects_singular():
         change_basis(L, [[F(1), F(1)], [F(1), F(1)]])
 
 
+def _identity(d):
+    return [[F(int(i == j)) for j in range(d)] for i in range(d)]
+
+
+def _odd_block_dependency():
+    """H(1,2) has odd w1, w2 at 3, 4; their new columns are w1 + 2 w2 and
+    2 w1 + 4 w2, and the even block is the identity."""
+    P = _identity(5)
+    P[3][3], P[3][4], P[4][3], P[4][4] = F(1), F(2), F(2), F(4)
+    return heisenberg_even(1, 2), P
+
+
+def _zero_row():
+    P = _identity(4)
+    P[1] = [F(0)] * 4
+    return heisenberg_even(1, 1), P
+
+
+@pytest.mark.parametrize("case", [_odd_block_dependency, _zero_row],
+                         ids=["odd-block dependency", "zero row"])
+def test_change_basis_singular_message(case):
+    L, P = case()
+    with pytest.raises(SingularMatrix) as info:
+        change_basis(L, P)
+    assert str(info.value) == "matrix is singular"
+
+
 def test_bracket_subspaces():
     L = heisenberg_odd(1)
     full = Subspace.full(L)

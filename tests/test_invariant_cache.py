@@ -18,7 +18,7 @@ import weakref
 from hypothesis import given
 import pytest
 
-from base_change import base_changed
+from base_change import SO3, base_changed
 import reference_core as reference
 from superlie import core, invariants, verification
 from superlie.classify import TableReport, classify_mr_le2, fingerprint
@@ -32,13 +32,11 @@ from superlie.core import (
     direct_sum,
     is_nilpotent,
     second_center,
-    validate,
 )
 from superlie.corpus import corpus
 from superlie.errors import NotInSecondCenterMinusCenter
 from superlie.invariants import check_bounds, lambda_mu, report
 
-SO3 = validate([0, 0, 0], {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}}, name="so3")
 MODELS = [abelian(2, 1), heisenberg_even(2, 1), heisenberg_even(0, 2), heisenberg_odd(2),
           model_l4(), SO3, direct_sum(model_l4(), heisenberg_odd(1))]
 ALGEBRAS = MODELS + corpus(0, 60)

@@ -50,16 +50,6 @@ FAULTS = {
 }
 
 
-@pytest.fixture
-def fresh_model_fingerprints():
-    """The model fingerprints are cached; a faulty ``report`` must neither
-    read nor leave behind a cached value."""
-    classify._model_fingerprint.cache_clear()
-    yield
-    classify._model_fingerprint.cache_clear()
-
-
-@pytest.mark.usefixtures("fresh_model_fingerprints")
 @pytest.mark.parametrize("name", FAULTS)
 def test_fault_fails_exactly_its_checks(monkeypatch, name):
     fault, expected = FAULTS[name]

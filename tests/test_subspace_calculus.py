@@ -6,19 +6,31 @@ The stored rows are sparse; ``even_rows``, ``odd_rows`` and ``rows`` are
 their dense views, which the dense references produce directly.
 """
 
+import importlib
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 from sympy import Matrix, Rational
 
-from base_change import base_changed, rational
+from base_change import SO3, base_changed, rational
 import reference_core as reference
 import reference_linalg
 from superlie import core, linalg
-from superlie.constructions import abelian, heisenberg_even, heisenberg_odd, model_l4
+from superlie.constructions import (
+    abelian,
+    builtin,
+    free_two_step_cover,
+    heisenberg_even,
+    heisenberg_odd,
+    model_l4,
+)
 from superlie.core import (
+    LieSuperalgebra,
     Subspace,
     center,
     change_basis,
@@ -28,14 +40,13 @@ from superlie.core import (
     lower_central_series,
     quotient,
     second_center,
-    validate,
 )
 from superlie.corpus import corpus
 from superlie.errors import NonHomogeneous, ParityMixing, SingularMatrix
+from superlie.fileformat import emit
 
 F = Fraction
 
-SO3 = validate([0, 0, 0], {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}}, name="so3")
 MODELS = [abelian(2, 1), heisenberg_even(2, 1), heisenberg_even(0, 2), heisenberg_odd(2),
           model_l4(), SO3, direct_sum(model_l4(), heisenberg_odd(1))]
 # nilpotency class >= 3 puts Z(L) < Z₂(L) < L strictly; few of corpus(0, 40) are
@@ -252,3 +263,61 @@ def test_stored_rows_are_the_sparse_dense_views(L):
         assert _stores_its_dense_views(S)
         assert all(type(x) is Fraction for r in S.even + S.odd for _, x in r)
         assert all(r[0][1] == 1 for r in S.even + S.odd)
+
+
+# -- one elimination path: change_basis runs no linalg.rref ------------------
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """Every binding of ``linalg.rref`` in the library, patched to record
+    its calls in the returned list."""
+    calls = []
+    rref = linalg.rref
+
+    def counting_rref(rows):
+        rows = list(rows)
+        calls.append(rows)
+        return rref(rows)
+
+    for name, module in list(sys.modules.items()):
+        if name == "superlie" or name.startswith("superlie."):
+            for attr, value in list(vars(module).items()):
+                if value is rref:
+                    monkeypatch.setattr(module, attr, counting_rref)
+    return calls
+
+
+def _bench_conjugates(monkeypatch):
+    """The six conjugated algebras of the basechange-dense workload, seed 0."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    bases = [(name, builtin(name)) for name in workloads.DENSE_BUILTINS]
+    bases += [(f"Cover(Ab({m},{n}))", free_two_step_cover(m, n).K)
+              for m, n in workloads.DENSE_COVERS]
+    return [(L, workloads.conjugator(L.parities, name, 0)) for name, L in bases]
+
+
+def _random_rational(rng, L):
+    d = L.dim
+    return [[F(rng.randint(-3, 3), rng.randint(1, 3)) if L.parities[i] == L.parities[j]
+             else F(0) for j in range(d)] for i in range(d)]
+
+
+def test_change_basis_makes_no_rref_call(rref_calls, monkeypatch):
+    L = heisenberg_even(2, 2)
+    cases = _bench_conjugates(monkeypatch) + [(L, _random_rational(random.Random(14), L))]
+    assert len(cases) == 7
+    for L, P in cases:
+        want = emit(reference.change_basis(L, P))
+        rref_calls.clear()
+        assert emit(change_basis(L, P)) == want
+        assert rref_calls == []
+
+
+def test_center_makes_the_one_pinned_rref_call(rref_calls):
+    H = heisenberg_even(1, 0)
+    center(LieSuperalgebra(H.parities, H.constants, H.name, H.labels))
+    assert len(rref_calls) == 1

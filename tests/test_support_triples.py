@@ -20,6 +20,7 @@ from unittest import mock
 import pytest
 
 import reference_core as reference
+from reference_linalg import invert
 from superlie import cohomology, core
 from superlie.constructions import (
     abelian,
@@ -30,7 +31,7 @@ from superlie.constructions import (
 )
 from superlie.corpus import corpus
 from superlie.errors import DependentClasses, JacobiError
-from superlie.linalg import Echelon, invert
+from superlie.linalg import Echelon
 
 F = Fraction
 
