@@ -63,11 +63,11 @@ def _read(path: str) -> str:
 
 
 def _load(args):
-    if args.builtin and args.file:
+    if args.builtin is not None and args.file is not None:
         raise InvalidParams("give either a file or --builtin NAME, not both")
-    if args.builtin:
+    if args.builtin is not None:
         return builtin(args.builtin)
-    if not args.file:
+    if args.file is None:
         raise InvalidParams("either a file or --builtin NAME is required")
     return parse(_read(args.file))
 

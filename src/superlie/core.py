@@ -290,7 +290,7 @@ class Subspace:
 
     @classmethod
     def full(cls, parent: LieSuperalgebra) -> "Subspace":
-        return cls._span_rows(parent, _basis(parent))
+        return cls._canonical(parent, [((i, Fraction(1)),) for i in range(parent.dim)])
 
     @classmethod
     def zero(cls, parent: LieSuperalgebra) -> "Subspace":
@@ -421,9 +421,10 @@ def derived_subalgebra(L: LieSuperalgebra) -> Subspace:
         L, (dict(vec) for _, vec in L.constants)))
 
 
-def _ad_kernel(L: LieSuperalgebra, targets: list[linalg.Row], modulo: Subspace) -> Subspace:
-    """{x : [x, t] in modulo for every t in targets}, for homogeneous
-    targets and a homogeneous ``modulo``.
+def _ad_kernel(L: LieSuperalgebra, brackets, modulo: Subspace) -> Subspace:
+    """{x : [x, t] in modulo for every target t}, for homogeneous targets
+    and a homogeneous ``modulo``.  ``brackets`` maps (i, t) to the nonzero
+    [e_i, t]; the stored table ``L._table`` is that map for the targets e_t.
 
     The residual of [x, t] modulo ``modulo`` is linear in x, so each
     (target, coordinate k) of it is one sparse equation over x's coordinates
@@ -435,10 +436,9 @@ def _ad_kernel(L: LieSuperalgebra, targets: list[linalg.Row], modulo: Subspace) 
     """
     ech = modulo._echelon
     eqs: dict[tuple[int, int], linalg.Row] = {}
-    for i in range(L.dim):
-        for t_idx, t in enumerate(targets):
-            for k, x in ech.reduce(_bracket(L, {i: 1}, t)).items():
-                eqs.setdefault((t_idx, k), {})[i] = x
+    for (i, t), row in brackets.items():
+        for k, x in ech.reduce(row).items():
+            eqs.setdefault((t, k), {})[i] = x
     kernel = linalg.Echelon(eqs.values()).kernel_basis(range(L.dim))
     # The kernel basis is not canonical yet; its rref is.  This is the
     # library's one linalg.rref call, which bench/test_bench.py requires
@@ -447,24 +447,22 @@ def _ad_kernel(L: LieSuperalgebra, targets: list[linalg.Row], modulo: Subspace) 
     return Subspace._canonical(L, [tuple(linalg.sparse(r).items()) for r in rows])
 
 
-def _basis(L: LieSuperalgebra) -> list[linalg.Row]:
-    return [{i: 1} for i in range(L.dim)]
-
-
 def center(L: LieSuperalgebra) -> Subspace:
-    return _cached_subspace(L, "_center", lambda: _ad_kernel(L, _basis(L), Subspace.zero(L)))
+    return _cached_subspace(L, "_center", lambda: _ad_kernel(L, L._table, Subspace.zero(L)))
 
 
 def centralizer(L: LieSuperalgebra, z: Vec) -> Subspace:
     """Kernel of x -> [x, z] for a nonzero homogeneous z."""
     if L.vector_parity(z) is None:
         raise NonHomogeneous("centralizer requires a nonzero homogeneous element")
-    return _ad_kernel(L, [_row(L, z)], Subspace.zero(L))
+    zs = _row(L, z)
+    brackets = {(i, 0): _bracket(L, {i: 1}, zs) for i in range(L.dim)}
+    return _ad_kernel(L, brackets, Subspace.zero(L))
 
 
 def second_center(L: LieSuperalgebra) -> Subspace:
     """Preimage in L of the center of L/Z(L): {x : [x, L] inside Z(L)}."""
-    return _cached_subspace(L, "_second_center", lambda: _ad_kernel(L, _basis(L), center(L)))
+    return _cached_subspace(L, "_second_center", lambda: _ad_kernel(L, L._table, center(L)))
 
 
 def lower_central_series(L: LieSuperalgebra) -> list[Subspace]:
@@ -497,14 +495,10 @@ def quotient(L: LieSuperalgebra, I: Subspace) -> tuple[LieSuperalgebra, LinearMa
     basis vectors at the non-pivot columns, which inherit the even-before-odd
     order from L.
     """
-    if I.parent is not L and I.parent != L:
-        raise ParentMismatch("subspace does not belong to the algebra")
+    if not I.contains_subspace(bracket_subspaces(L, Subspace.full(L), I)):
+        raise NotAnIdeal("subspace is not an ideal")
     ech = I._echelon
     rows = I.even + I.odd
-    for r in rows:
-        for j in range(L.dim):
-            if ech.reduce(_bracket(L, {j: 1}, dict(r))):
-                raise NotAnIdeal("subspace is not an ideal")
     comp = sorted(set(range(L.dim)) - {r[0][0] for r in rows})  # the non-pivot columns
     coset = {c: a for a, c in enumerate(comp)}
     qparities = tuple(L.parities[c] for c in comp)

@@ -84,7 +84,8 @@ def lambda_mu(L: LieSuperalgebra, z) -> tuple[SuperDim, SuperDim]:
     of the central quotient of L/[L, z].
 
     The center of L/[L, z] is P/[L, z] for P = {x : [x, L] inside [L, z]},
-    so μ = sdim L - sdim P, and no quotient algebra is built."""
+    the ad-map kernel of the stored bracket table modulo [L, z], so
+    μ = sdim L - sdim P, and no quotient algebra is built."""
     z = tuple(Fraction(c) for c in z)
     if L.vector_parity(z) is None:
         raise NonHomogeneous("lambda/mu require a nonzero homogeneous element")
@@ -93,9 +94,8 @@ def lambda_mu(L: LieSuperalgebra, z) -> tuple[SuperDim, SuperDim]:
     if Z.contains(z) or not Z2.contains(z):
         raise NotInSecondCenterMinusCenter(
             "element must lie in the second center but not the center")
-    zs = core._row(L, z)
-    Lz = Subspace._span_rows(L, (core._bracket(L, {i: 1}, zs) for i in range(L.dim)))
-    P = core._ad_kernel(L, core._basis(L), Lz)
+    Lz = core.bracket_subspaces(L, Subspace.full(L), Subspace.span(L, [z]))
+    P = core._ad_kernel(L, L._table, Lz)
     return Lz.sdim, (L.sdim - P.sdim).to_superdim()
 
 

@@ -149,6 +149,22 @@ def test_file_and_builtin_together(good_file, tmp_path, capsys, cmd):
         assert err == "error: InvalidParams: give either a file or --builtin NAME, not both\n"
 
 
+@pytest.mark.parametrize("cmd", ["invariants", "multiplier", "classify", "cover"])
+def test_empty_source_counts_as_given(capsys, cmd):
+    """An empty file name or builtin name is a source: it is looked up or
+    read, and it conflicts with the other source."""
+    assert main([cmd, "--builtin", ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: UnknownName: ")
+    assert main([cmd, "", "--builtin", "H(1,0)"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: InvalidParams: give either a file or --builtin NAME, not both\n"
+    assert main([cmd, ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot read ")
+
+
 def test_multiplier_json(capsys):
     assert main(["multiplier", "--builtin", "H(2)", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -86,10 +86,10 @@ def test_each_invariant_is_computed_once(monkeypatch, L):
     kernels, multipliers = [], []
     ad_kernel, mult = core._ad_kernel, invariants.multiplier
 
-    def counting_ad_kernel(A, targets, modulo):
+    def counting_ad_kernel(A, brackets, modulo):
         if A is L:
             kernels.append(modulo)
-        return ad_kernel(A, targets, modulo)
+        return ad_kernel(A, brackets, modulo)
 
     def counting_multiplier(A):
         if A is L:

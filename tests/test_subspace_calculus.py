@@ -33,6 +33,7 @@ from superlie.core import (
     LieSuperalgebra,
     Subspace,
     center,
+    centralizer,
     change_basis,
     derived_subalgebra,
     direct_sum,
@@ -42,7 +43,7 @@ from superlie.core import (
     second_center,
 )
 from superlie.corpus import corpus
-from superlie.errors import NonHomogeneous, ParityMixing, SingularMatrix
+from superlie.errors import NonHomogeneous, NotAnIdeal, ParityMixing, SingularMatrix
 from superlie.fileformat import emit
 
 F = Fraction
@@ -230,6 +231,26 @@ def homogeneous_spans(draw):
     return L, draw(st.permutations(vectors))
 
 
+def _quotient_outcome(quot, L, I):
+    try:
+        Q, proj = quot(L, I)
+    except NotAnIdeal:
+        return NotAnIdeal
+    return Q.parities, Q.constants, Q.name, Q.labels, proj.matrix
+
+
+@given(homogeneous_spans(), st.booleans())
+def test_quotient_rejects_exactly_the_non_ideals(case, with_derived):
+    """Random spans, and with ``with_derived`` their sums with L², which are
+    ideals: ``quotient`` raises NotAnIdeal exactly when the reference does,
+    and otherwise builds the same quotient and projection."""
+    L, vectors = case
+    I = Subspace.span(L, vectors)
+    if with_derived:
+        I = I.add(derived_subalgebra(L))
+    assert _quotient_outcome(quotient, L, I) == _quotient_outcome(reference.quotient, L, I)
+
+
 @given(homogeneous_spans())
 def test_span_matches_reference_per_parity_rref(case):
     L, vectors = case
@@ -245,10 +266,59 @@ def test_span_matches_reference_per_parity_rref(case):
 
 @given(algebras)
 def test_ad_kernel_parity_split_matches_reference(L):
+    """The stored-table solve against the reference's loop over unit targets."""
+    units = [{i: 1} for i in range(L.dim)]
     for modulo in (Subspace.zero(L), center(L)):
-        got = core._ad_kernel(L, core._basis(L), modulo)
-        want = reference.ad_kernel(L, core._basis(L), modulo)
+        got = core._ad_kernel(L, L._table, modulo)
+        want = reference.ad_kernel(L, units, modulo)
         assert (got.even_rows, got.odd_rows) == (want.even_rows, want.odd_rows)
+
+
+# free two-step covers: their centres are inactive, in no stored key
+COVERS = [free_two_step_cover(m, n).K for m, n in ((2, 2), (3, 1))]
+
+
+def test_center_and_second_center_bracket_no_basis_pair(monkeypatch):
+    """Z(L) and Z₂(L) read the stored table: no ``_bracket`` call at all."""
+    assert all(len({i for key in K._table for i in key}) < K.dim for K in COVERS)
+    calls = []
+    bracket = core._bracket
+
+    def counting_bracket(L, x, y):
+        calls.append((x, y))
+        return bracket(L, x, y)
+
+    monkeypatch.setattr(core, "_bracket", counting_bracket)
+    fresh = [LieSuperalgebra(L.parities, L.constants, L.name, L.labels)
+             for L in ALGEBRAS + COVERS]
+    for L in fresh:
+        center(L)
+        second_center(L)
+    assert calls == []
+    monkeypatch.undo()
+    for L in fresh[-len(COVERS):]:
+        Z = reference.ad_kernel(L, [{i: 1} for i in range(L.dim)], Subspace.zero(L))
+        assert (center(L).even_rows, center(L).odd_rows) == (Z.even_rows, Z.odd_rows)
+        assert second_center(L) == reference.second_center(L)
+
+
+@st.composite
+def homogeneous_elements(draw):
+    """An algebra and a nonzero homogeneous coordinate vector of it."""
+    L = draw(algebras)
+    parity = draw(st.sampled_from(sorted(set(L.parities))))
+    z = list(_homogeneous(draw, L, parity, 1)[0])
+    if not any(z):
+        z[L.parities.index(parity)] = F(1)
+    return L, tuple(z)
+
+
+@given(homogeneous_elements())
+def test_centralizer_matches_reference(case):
+    L, z = case
+    got = centralizer(L, z)
+    want = reference.ad_kernel(L, [linalg.sparse(z)], Subspace.zero(L))
+    assert (got.even_rows, got.odd_rows) == (want.even_rows, want.odd_rows)
 
 
 @given(algebras)
