@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import core
-from .constructions import abelian, heisenberg_even
+from .constructions import abelian, model_registry
 from .core import LieSuperalgebra
 from .errors import NotNilpotent
 from .invariants import report
@@ -73,16 +73,12 @@ TABLE = (
 
 
 @lru_cache(maxsize=None)
+def _models() -> dict[str, LieSuperalgebra]:
+    return {L.name: L for L in model_registry()}
+
+
 def _model(label: str) -> LieSuperalgebra:
-    if label == H10:
-        return heisenberg_even(1, 0)
-    if label == H01:
-        return heisenberg_even(0, 1)
-    if label == H10_AB10:
-        return core.direct_sum(heisenberg_even(1, 0), abelian(1, 0))
-    if label == H10_AB01:
-        return core.direct_sum(heisenberg_even(1, 0), abelian(0, 1))
-    raise KeyError(label)
+    return _models()[label]
 
 
 def recognize_heisenberg(L: LieSuperalgebra):

@@ -55,7 +55,7 @@ def _pair(p: SignedPair) -> list[int]:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UnreadableInput(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

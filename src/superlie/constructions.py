@@ -111,7 +111,8 @@ def builtin(name: str) -> LieSuperalgebra:
 
 
 def model_registry() -> list[LieSuperalgebra]:
-    """Small non-abelian models exercised by the verification suites."""
+    """Small non-abelian models exercised by the verification suites.  Each
+    non-abelian ``classify.TABLE`` row's label is the name of one of them."""
     return [
         heisenberg_even(1, 0),
         heisenberg_even(0, 1),

@@ -320,6 +320,7 @@ class Subspace:
         return not self._echelon.reduce(_row(self.parent, v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        self._check_parent(other)
         return not any(self._echelon.reduce(dict(r)) for r in other.even + other.odd)
 
     def add(self, other: "Subspace") -> "Subspace":
@@ -440,9 +441,9 @@ def _ad_kernel(L: LieSuperalgebra, brackets, modulo: Subspace) -> Subspace:
         for k, x in ech.reduce(row).items():
             eqs.setdefault((t, k), {})[i] = x
     kernel = linalg.Echelon(eqs.values()).kernel_basis(range(L.dim))
-    # The kernel basis is not canonical yet; its rref is.  This is the
-    # library's one linalg.rref call, which bench/test_bench.py requires
-    # until the benchmark traces Echelon itself (ROADMAP item 1).
+    # The kernel basis is not canonical yet; its rref is.  This is the library's
+    # one linalg.rref call, which bench/test_bench.py requires until the bench
+    # traces Echelon itself (ROADMAP, "The benchmark watches today's kernel").
     rows = linalg.rref([linalg._dense(v, L.dim) for v in kernel])
     return Subspace._canonical(L, [tuple(linalg.sparse(r).items()) for r in rows])
 

@@ -13,22 +13,20 @@ from fractions import Fraction
 
 from . import core
 from .classify import (
+    ABELIAN,
     H10,
     H10_AB01,
     H10_AB10,
     NotCovered,
     TableEntry,
     classify_mr_le2,
-    fingerprint,
     verify_theorem_table,
-    _model,
 )
 from .cohomology import multiplier
 from .constructions import abelian, heisenberg_even, heisenberg_odd, model_l4, model_registry
 from .corpus import corpus
 from .invariants import (
     _central_quotient,
-    _sdim_M,
     check_bounds,
     kunneth_check,
     lambda_mu,
@@ -134,8 +132,8 @@ def run_paper_checks(seed: int = 0, corpus_size: int = 100) -> dict[str, CheckRe
     l46_ok = True
     for L, r in zip(algebras, reports):
         if r.sdr == ZERO:
-            qfp = fingerprint(_central_quotient(L))
-            l46_ok &= qfp.sdim_L2 == ZERO or qfp == fingerprint(_model(H10))
+            out = classify_mr_le2(_central_quotient(L))
+            l46_ok &= isinstance(out, TableEntry) and out.label in (ABELIAN, H10)
     results["Lemma 4.6"] = CheckResult(l46_ok, "sdr=(0,0) forces abelian or H(1,0) quotient")
 
     def rows_hold(mr: int) -> bool:
@@ -148,8 +146,9 @@ def run_paper_checks(seed: int = 0, corpus_size: int = 100) -> dict[str, CheckRe
         rows_hold(1), "no smr=(0,1); smr=(1,0) matches the H(1,0) fingerprint")
 
     no_flag = not any(isinstance(out, NotCovered) and out.contradiction for out in outcomes)
-    models_ok = (_sdim_M(_model(H10_AB10)) == SuperDim(4, 0)
-                 and _sdim_M(_model(H10_AB01)) == SuperDim(3, 2))
+    # the table rows state smr = bound(sdim L) - sdim M; a missing row raises
+    row_ok = {label: ok for label, *_, ok in table.rows}
+    models_ok = row_ok[H10_AB10] and row_ok[H10_AB01]
     results["Prop 5.6"] = CheckResult(
         rows_hold(2) and no_flag and models_ok, "rank-2 fingerprints and direct-sum multipliers")
 

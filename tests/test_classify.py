@@ -17,7 +17,13 @@ from superlie.classify import (
     verify_theorem_table,
     _model,
 )
-from superlie.constructions import abelian, heisenberg_even, heisenberg_odd, model_l4
+from superlie.constructions import (
+    abelian,
+    heisenberg_even,
+    heisenberg_odd,
+    model_l4,
+    model_registry,
+)
 from superlie.core import change_basis, direct_sum, validate
 from superlie.errors import NotNilpotent
 from superlie.superdim import SuperDim
@@ -82,6 +88,17 @@ def test_fingerprint_distinguishes_table_rows():
     ]
     assert len(set(fps)) == 4
     assert fps[0] == fingerprint(_model(H10))
+
+
+def test_table_models_are_the_registry_algebras_the_labels_name():
+    registry = model_registry()
+    for entry in TABLE[1:]:
+        named = [L for L in registry if L.name == entry.label]
+        assert len(named) == 1
+        assert _model(entry.label) == named[0]
+        assert _model(entry.label) is _model(entry.label)
+    with pytest.raises(KeyError):
+        _model(ABELIAN)
 
 
 def test_fingerprint_fields():

@@ -1,13 +1,18 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import superlie
 from superlie.cli import main
 from superlie.corpus import corpus
+from superlie.core import direct_sum
 from superlie.fileformat import emit
-from superlie.constructions import heisenberg_even
+from superlie.constructions import abelian, heisenberg_even
 
 GOOD = 'algebra "H(1,1)"\neven u1 v1 z\nodd w1\n[u1,v1] = z\n[w1,w1] = z\n'
 BAD_SYNTAX = 'algebra "X"\neven x\nodd\nthis is not a bracket\n'
@@ -80,6 +85,26 @@ def test_unreadable_input_file(tmp_path, capsys):
     f.write_bytes(b"\xff\xfe\x00")
     assert main(["invariants", str(f)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot read {f}: ")
+
+
+def test_input_with_utf8_bom(tmp_path, capsys):
+    f = tmp_path / "bom.lsa"
+    f.write_text(emit(direct_sum(heisenberg_even(1, 0), abelian(0, 1))), encoding="utf-8-sig")
+    assert f.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["classify", str(f)]) == 0
+    assert capsys.readouterr().out == "H(1,0)+Ab(0,1)  smr (1,1)\n"
+
+
+def test_input_is_utf8_in_the_c_locale(tmp_path):
+    """The file is decoded as UTF-8 whatever the locale's encoding is."""
+    f = tmp_path / "e.lsa"
+    f.write_bytes('algebra "é"\neven x\nodd\n'.encode())
+    src = str(Path(superlie.__file__).parent.parent)
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "superlie.cli", "validate", str(f)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "OK\n", "")
 
 
 @pytest.mark.parametrize("size", ["0", "-3"])

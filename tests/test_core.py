@@ -275,6 +275,22 @@ def test_subspace_parent_mismatch():
         Subspace.full(A).add(Subspace.full(B))
 
 
+@pytest.mark.parametrize("op", [
+    lambda U, W: U.contains_subspace(W),
+    lambda U, W: U.add(W),
+    lambda U, W: U.intersection(W),
+    lambda U, W: bracket_subspaces(U.parent, U, W),
+    lambda U, W: bracket_subspaces(U.parent, W, U),
+    lambda U, W: quotient(U.parent, W),
+], ids=["contains_subspace", "add", "intersection", "bracket_right", "bracket_left",
+        "quotient"])
+def test_binary_operations_reject_another_algebra_of_equal_dimension(op):
+    H, A = heisenberg_even(1, 0), abelian(3, 0)
+    assert H.dim == A.dim
+    with pytest.raises(ParentMismatch):
+        op(Subspace.full(H), Subspace.full(A))
+
+
 # -- structural calculus ------------------------------------------------------
 
 

@@ -2,9 +2,10 @@
 the classifier.
 
 ``classify_mr_le2`` returns the ``TABLE`` row it matched, so Props 4.8 and 5.6
-compare the row's stated smr with the algebra's.  Each fault below rewrites
-``report`` in both ``verification`` and ``classify`` and must fail exactly the
-checks listed with it.
+compare the row's stated smr with the algebra's, and Lemma 4.6 asks it for the
+row of each quotient L/Z(L).  Each fault below rewrites ``report`` in both
+``verification`` and ``classify`` and must fail exactly the checks listed with
+it.
 """
 
 import random
@@ -14,10 +15,11 @@ import pytest
 
 from base_change import random_parity_preserving
 from superlie import classify, verification
-from superlie.classify import TABLE, classify_mr_le2
-from superlie.constructions import abelian
+from superlie.classify import H10, TABLE, NotCovered, classify_mr_le2
+from superlie.cohomology import cover_candidate
+from superlie.constructions import abelian, heisenberg_even
 from superlie.core import change_basis
-from superlie.invariants import report
+from superlie.invariants import _central_quotient, report
 from superlie.superdim import SuperDim
 
 SEED, SIZE = 0, 100
@@ -50,24 +52,33 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("name", FAULTS)
-def test_fault_fails_exactly_its_checks(monkeypatch, name):
-    fault, expected = FAULTS[name]
-    algebras, changed = [], []
+@pytest.fixture
+def corpus_algebras(monkeypatch):
+    """The list the ledger's corpus call fills, so a fault can tell the
+    corpus algebras from the rest."""
+    algebras = []
     make_corpus = verification.corpus
 
     def recording_corpus(seed, size):
         algebras.extend(make_corpus(seed, size))
         return algebras
 
+    monkeypatch.setattr(verification, "corpus", recording_corpus)
+    return algebras
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_fault_fails_exactly_its_checks(monkeypatch, corpus_algebras, name):
+    fault, expected = FAULTS[name]
+    changed = []
+
     def faulty_report(L):
         rep = report(L)
-        out = fault(rep, any(L is A for A in algebras))
+        out = fault(rep, any(L is A for A in corpus_algebras))
         if out is not rep:
             changed.append(L)
         return out
 
-    monkeypatch.setattr(verification, "corpus", recording_corpus)
     monkeypatch.setattr(verification, "report", faulty_report)
     monkeypatch.setattr(classify, "report", faulty_report)
     results = verification.run_paper_checks(SEED, SIZE)
@@ -77,6 +88,33 @@ def test_fault_fails_exactly_its_checks(monkeypatch, name):
 
 def test_ledger_passes_without_a_fault():
     assert all(res.passed for res in verification.run_paper_checks(SEED, SIZE).values())
+
+
+def test_lemma_4_6_reads_the_classifier(monkeypatch, corpus_algebras):
+    """A classifier that covers no algebra outside the corpus fails Lemma 4.6
+    alone: its quotients are the only ones the ledger classifies."""
+    asked = []
+
+    def corpus_only(L):
+        if any(L is A for A in corpus_algebras):
+            return classify_mr_le2(L)
+        asked.append(L)
+        return NotCovered("outside the corpus")
+
+    monkeypatch.setattr(verification, "classify_mr_le2", corpus_only)
+    results = verification.run_paper_checks(SEED, SIZE)
+    assert asked, "the ledger classified no quotient"
+    assert {key for key, res in results.items() if not res.passed} == {"Lemma 4.6"}
+
+
+def test_lemma_4_6_h10_branch_witness():
+    """The corpus quotients of sdr (0,0) are all abelian; the cover of H(1,0),
+    the free class-3 algebra on two even generators, reaches the H(1,0) row."""
+    K = cover_candidate(heisenberg_even(1, 0)).algebra
+    rep = report(K)
+    assert (K.dim, rep.nilpotency_class, rep.sdr) == (5, 3, SuperDim(0, 0))
+    out = classify_mr_le2(_central_quotient(K))
+    assert out is TABLE[1] and out.label == H10
 
 
 MODELS = [(abelian(2, 1), TABLE[0])] + [(classify._model(e.label), e) for e in TABLE[1:]]
