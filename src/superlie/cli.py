@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success (including a NotCovered classification), 1 mathematical
-invalidity, 2 parse failure or unreadable input file, 64 unknown command /
-usage error.
+invalidity, 2 parse failure, unreadable input file or output that stdout's
+encoding cannot write, 64 unknown command / usage error.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
     SuperlieError,
     UnreadableInput,
+    UnwritableOutput,
     UsageError,
 )
 from .fileformat import emit, parse
@@ -44,7 +45,8 @@ commands:
 exit codes:
   0   success (a NotCovered classification is still success)
   1   mathematical invalidity (axiom failure, non-nilpotent input to classify)
-  2   parse error, or an input file that cannot be read
+  2   parse error, an input file that cannot be read, or output (such as
+      an algebra name) that stdout's encoding cannot write
   64  unknown command or usage error
 """
 
@@ -60,6 +62,17 @@ def _read(path: str) -> str:
         raise UnreadableInput(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise UnreadableInput(f"cannot read {path}: {exc}") from None
+
+
+def _write(text: str) -> None:
+    """Write text to stdout in one call.  A text stream encodes the whole
+    text before it writes any of it, so output that its encoding cannot
+    represent raises UnwritableOutput with nothing written."""
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        raise UnwritableOutput(f"stdout's encoding {exc.encoding} cannot write {bad!r}") from None
 
 
 def _load(args):
@@ -153,15 +166,15 @@ def _cmd_invariants(args) -> int:
         print(json.dumps(payload, sort_keys=True))
     else:
         cls = rep.nilpotency_class if rep.nilpotency_class is not None else "not nilpotent"
-        print(f"algebra          {rep.name}")
-        print(f"sdim L           {rep.sdim_L}")
-        print(f"sdim L^2         {rep.sdim_L2}")
-        print(f"sdim Z(L)        {rep.sdim_Z}")
-        print(f"sdim L/Z(L)      {rep.sdim_LmodZ}")
-        print(f"sdim M(L)        {rep.sdim_M}")
-        print(f"smr              {rep.smr}    mr {rep.mr}")
-        print(f"sdr              {rep.sdr}    dr {rep.dr}")
-        print(f"nilpotency class {cls}")
+        _write(f"algebra          {rep.name}\n"
+               f"sdim L           {rep.sdim_L}\n"
+               f"sdim L^2         {rep.sdim_L2}\n"
+               f"sdim Z(L)        {rep.sdim_Z}\n"
+               f"sdim L/Z(L)      {rep.sdim_LmodZ}\n"
+               f"sdim M(L)        {rep.sdim_M}\n"
+               f"smr              {rep.smr}    mr {rep.mr}\n"
+               f"sdr              {rep.sdr}    dr {rep.dr}\n"
+               f"nilpotency class {cls}\n")
     return 0
 
 
@@ -220,9 +233,8 @@ def _cmd_classify(args) -> int:
 def _cmd_cover(args) -> int:
     L = _load(args)
     ext = cover_candidate(L)
-    sys.stdout.write(emit(ext.algebra))
-    print(f"kernel sdim = {ext.kernel.sdim}")
-    print(f"stem condition: {'holds' if ext.stem_ok else 'FAILS'}")
+    _write(f"{emit(ext.algebra)}kernel sdim = {ext.kernel.sdim}\n"
+           f"stem condition: {'holds' if ext.stem_ok else 'FAILS'}\n")
     return 0
 
 
@@ -265,7 +277,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(USAGE, file=sys.stderr)
         return 64
-    except UnreadableInput as exc:
+    except (UnreadableInput, UnwritableOutput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ParseError as exc:

@@ -125,8 +125,7 @@ def _cocycle_basis(L: LieSuperalgebra) -> list[linalg.Row]:
     """Canonical echelon basis of the cocycles of both parities, as sparse
     rows by pivot.  Elimination only combines rows that share a pair, so the
     rows of one parity are that parity's canonical basis."""
-    equations = linalg.Echelon(_cocycle_equations(L))
-    return linalg.Echelon(equations.kernel_basis(_free_pairs(L.parities))).rows()
+    return linalg.Echelon(_cocycle_equations(L)).kernel(_free_pairs(L.parities)).rows()
 
 
 def cocycle_space(L: LieSuperalgebra, parity: int) -> list[Cochain2]:
@@ -167,7 +166,7 @@ def multiplier(L: LieSuperalgebra) -> MultiplierResult:
     acc = linalg.Echelon()
     z, b, reps = [0, 0], [0, 0], []
     for k, row in enumerate(_coboundaries(L)):
-        if acc.add(row) is not None:
+        if acc.insert(row):
             b[p[k]] += 1
     for zv in _cocycle_basis(L):
         z[_parity(p, next(iter(zv)))] += 1
@@ -211,7 +210,7 @@ def central_extension(L: LieSuperalgebra, chosen) -> CentralExtension:
         raise InvalidParams("cochain belongs to a different algebra")
     acc = linalg.Echelon(_coboundaries(L))
     for f in chosen:
-        if acc.add(dict(f.values)) is None:
+        if not acc.insert(dict(f.values)):
             raise DependentClasses("chosen classes are dependent modulo coboundaries")
 
     ordered = sorted(chosen, key=lambda f: f.parity)  # stable: even classes first

@@ -278,7 +278,7 @@ class Subspace:
         for r in filter(None, rows):
             if (min(r) >= ne) != (max(r) >= ne):
                 raise NonHomogeneous("span requires homogeneous vectors")
-            ech.add(r)
+            ech.insert(r)
         return cls._canonical(parent, [tuple(r.items()) for r in ech.rows()])
 
     @classmethod
@@ -317,11 +317,11 @@ class Subspace:
         return self.even_rows + self.odd_rows
 
     def contains(self, v: Vec) -> bool:
-        return not self._echelon.reduce(_row(self.parent, v))
+        return self._echelon.contains(_row(self.parent, v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_parent(other)
-        return not any(self._echelon.reduce(dict(r)) for r in other.even + other.odd)
+        return all(self._echelon.contains(dict(r)) for r in other.even + other.odd)
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check_parent(other)

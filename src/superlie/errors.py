@@ -79,6 +79,11 @@ class UnreadableInput(SuperlieError):
     """An input file is missing or cannot be read as text."""
 
 
+class UnwritableOutput(SuperlieError):
+    """The output holds text, such as a non-ASCII algebra name, that the
+    encoding of stdout cannot represent."""
+
+
 class ParseError(SuperlieError):
     """A structure-constant file is syntactically malformed."""
 

@@ -1,12 +1,16 @@
 """Exact linear algebra over the rationals.
 
 One elimination kernel, ``Echelon``, does all the row reduction.  It keeps a
-growing span in reduced row echelon form, with rows stored sparsely as
-``{column: Fraction}`` dicts, so callers can stream vectors into it one at a
-time and get each vector's residual back as it arrives.  Echelon forms are
-fully reduced with pivots normalized to 1 and rows ordered by pivot column,
-so a subspace has exactly one matrix representation and subspace equality is
-syntactic.
+growing span in reduced row echelon form, so callers can stream sparse
+vectors, ``{column: Fraction}`` dicts, into it one at a time and get each
+vector's residual back as it arrives.  Echelon forms are fully reduced with
+pivots normalized to 1 and rows ordered by pivot column, so a subspace has
+exactly one matrix representation and subspace equality is syntactic.
+
+Inside, the kernel is fraction-free: each row is an integer tail over one
+positive denominator, and reducing a vector is integer arithmetic.  Its
+results are ``Fraction`` again: the residuals of ``add`` and ``reduce``, and
+``rows``, ``dense`` and ``kernel_basis``.
 
 A column label is any totally ordered hashable value, and the order of the
 labels is the column order: callers eliminate in their own coordinates, such
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
 from fractions import Fraction
+from math import gcd, lcm
 
 Vec = tuple[Fraction, ...]
 
@@ -50,93 +55,205 @@ class Echelon:
     The stored rows are sparse and kept fully reduced: every pivot is 1 and
     every row is zero in every other pivot column.  Reduced echelon form is
     unique, so the rows are the canonical basis of the span whatever order
-    the vectors arrived in.  Adding a vector costs one pass over the rows
-    whose pivots it touches, plus one update of each stored row that holds
-    its new pivot column; a column index finds those rows without visiting
-    the others, so sparse rows stay cheap.
+    the vectors arrived in.
+
+    The row with pivot p is stored as e_p + T_p / d_p: an integer tail T_p,
+    in the non-pivot columns, and one denominator d_p > 0 with
+    gcd(T_p, d_p) = 1.  So elimination is integer arithmetic, fraction-free
+    as in Bareiss (Math. Comp. 22, 1968), and a vector is reduced in one pass
+    at the lcm of the denominators it meets.  Only the entries that ``add``,
+    ``reduce``, ``rows``, ``dense`` and ``kernel_basis`` return are built as
+    Fractions; ``insert`` and ``contains`` build none.  A column index finds
+    the rows that hold a column without visiting the others, so sparse rows
+    stay cheap.
     """
 
-    __slots__ = ("_tails", "_where")
+    __slots__ = ("_tails", "_dens", "_where")
 
     def __init__(self, vectors=()):
-        # pivot column -> the row's other entries, all in non-pivot columns;
+        # pivot column -> T_p, the row's integer tail, all in non-pivot columns;
         # the pivot entry itself is an implicit 1
-        self._tails: dict[Hashable, Row] = {}
+        self._tails: dict[Hashable, dict[Hashable, int]] = {}
+        self._dens: dict[Hashable, int] = {}  # pivot column -> d_p
         # non-pivot column -> the pivots whose tails hold it (never empty)
         self._where: dict[Hashable, set] = {}
         for v in vectors:
-            self.add(v)
+            self.insert(v)
 
     def __len__(self) -> int:
         return len(self._tails)
+
+    def _residual(self, v: Row) -> tuple[dict[Hashable, int], int]:
+        """(w, m) with w / m the residual of v modulo the span: w an integer
+        row without zeros, m > 0 a common denominator.  Most vectors are tiny
+        (one or two entries in a small algebra), so this is one plain loop."""
+        tails = self._tails
+        w: dict[Hashable, int] = {}
+        hit = []
+        m = 1
+        for c, x in v.items():
+            n, d = x.as_integer_ratio()
+            if n:
+                if d != 1 and m % d:  # rescale to the lcm of the denominators so far
+                    k = d // gcd(m, d)
+                    m *= k
+                    for e in w:
+                        w[e] *= k
+                w[c] = n if m == 1 else n * (m // d)
+                if c in tails:
+                    hit.append(c)
+        if hit:
+            dens = self._dens
+            k = 1
+            for p in hit:  # scale so that every w[p] / d_p is an integer
+                d = dens[p]
+                if d != 1:
+                    k = lcm(k, d // gcd(w[p], d))
+            if k != 1:
+                m *= k
+                for c in w:
+                    w[c] *= k
+            for p in hit:
+                f = w.pop(p) // dens[p]
+                for c, t in tails[p].items():
+                    y = w.get(c, 0) - f * t
+                    if y:
+                        w[c] = y
+                    else:
+                        del w[c]
+        return w, m
+
+    def contains(self, v: Row) -> bool:
+        """Whether v lies in the span."""
+        return not self._residual(v)[0]
 
     def reduce(self, v: Row) -> Row:
         """The residual of a sparse vector modulo the span: v minus the
         element of the span that agrees with it on every pivot column.  It
         is empty exactly when v is in the span; v itself is not inserted."""
-        tails = self._tails
-        w = {c: x for c, x in v.items() if x}
-        for p in [c for c in w if c in tails]:
-            f = w.pop(p)
-            _axpy(w, -f, tails[p])
-        return w
+        w, m = self._residual(v)
+        return _fractions(w.items(), m)
+
+    def insert(self, v: Row) -> bool:
+        """Insert a sparse vector; whether it was outside the span."""
+        return self._insert(v) is not None
 
     def add(self, v: Row) -> Row | None:
         """Insert a sparse vector.  Return its residual modulo the span so
         far, scaled to a leading entry of 1, or None if it is in the span."""
-        w = self.reduce(v)
+        lead = self._insert(v)
+        if lead is None:
+            return None
+        return {lead: _ONE, **_fractions(self._tails[lead].items(), self._dens[lead])}
+
+    def _insert(self, v: Row) -> Hashable | None:
+        """Store v's residual modulo the span, unless it is zero, as the row
+        of its leading column, clear that column from the rows that hold it,
+        and return the column; None if v is in the span."""
+        w, _ = self._residual(v)
         if not w:
             return None
-        tails, where = self._tails, self._where
+        tails, dens, where = self._tails, self._dens, self._where
         lead = min(w)
         a = w.pop(lead)
-        if a == 1:  # no rescale; entries of the caller's v may still be ints
-            tail = {c: x if isinstance(x, Fraction) else Fraction(x) for c, x in w.items()}
-        else:
-            inv = _ONE / a
-            tail = {c: inv * x for c, x in w.items()}
+        g = _content(a, w.values()) * (1 if a > 0 else -1)
+        d = a // g
+        tail = w if g == 1 else {c: x // g for c, x in w.items()}
         for c in tail:
             where.setdefault(c, set()).add(lead)
-        # clear the new pivot column from the rows that hold it, keeping the
-        # index in step with every fill-in and every cancellation
+        # row p becomes e_p + (d T_p - t T) / (d_p d), t its entry at lead;
+        # the index keeps in step with every fill-in and every cancellation
         for p in where.pop(lead, ()):
             row = tails[p]
-            f = -row.pop(lead)
+            t = row.pop(lead)
+            if d != 1:
+                for c in row:
+                    row[c] *= d
             for c, x in tail.items():
                 y = row.get(c)
                 if y is None:
-                    row[c] = f * x
+                    row[c] = -t * x
                     where[c].add(p)
                 else:
-                    y += f * x
+                    y -= t * x
                     if y:
                         row[c] = y
                     else:
                         del row[c]
                         where[c].discard(p)  # the new row keeps where[c] nonempty
-        tails[lead] = tail
-        return {lead: _ONE, **tail}
+            dp = dens[p] * d
+            if (h := _content(dp, row.values())) != 1:
+                dp //= h
+                tails[p] = {c: x // h for c, x in row.items()}
+            dens[p] = dp
+        tails[lead], dens[lead] = tail, d
+        return lead
 
     def rows(self) -> list[Row]:
         """The canonical basis as sparse rows, by pivot column, each with its
         entries in column order."""
-        return [{p: _ONE, **dict(sorted(self._tails[p].items()))} for p in sorted(self._tails)]
+        rows = []
+        for p in sorted(self._tails):
+            tail = self._tails[p]  # often empty in a small algebra
+            rows.append({p: _ONE, **_fractions(sorted(tail.items()), self._dens[p])} if tail
+                        else {p: _ONE})
+        return rows
 
     def dense(self, ncols: int) -> list[Vec]:
         """The canonical basis as dense rows of length ncols."""
-        return [_dense({p: _ONE, **self._tails[p]}, ncols) for p in sorted(self._tails)]
+        return [_dense(r, ncols) for r in self.rows()]
 
     def kernel_basis(self, columns: Iterable[Hashable]) -> list[Row]:
         """A basis of {x : r . x = 0 for every row r}, where x ranges over the
         vectors on the labels ``columns``, which must hold every column the
         rows use: for each non-pivot column c, in the order given, the vector
         with 1 at c and minus row p's entry at c at each pivot p.  It is not
-        in echelon form; pass it to an Echelon for the canonical one."""
-        neg: dict[Hashable, Row] = {}
-        for p, tail in self._tails.items():
-            for c, x in tail.items():
-                neg.setdefault(c, {})[p] = -x
-        return [{c: _ONE, **neg.get(c, {})} for c in columns if c not in self._tails]
+        in echelon form; ``kernel`` gives the canonical one."""
+        return [_fractions(w.items(), m) for w, m in self._kernel_rows(columns)]
+
+    def kernel(self, columns: Iterable[Hashable]) -> "Echelon":
+        """The echelon of the span of ``kernel_basis(columns)``, built from
+        its integer rows, one at a time, with no Fraction."""
+        return Echelon(w for w, _ in self._kernel_rows(columns))
+
+    def _kernel_rows(self, columns):
+        """The vectors of ``kernel_basis``, each as (w, m) with w / m the
+        vector, w an integer row and m the lcm of the touched d_p."""
+        tails, dens, where = self._tails, self._dens, self._where
+        for c in columns:
+            if c in tails:
+                continue
+            ps = where.get(c, ())
+            m = 1
+            for p in ps:
+                m = lcm(m, dens[p])
+            w = {c: m}
+            for p in ps:
+                w[p] = -tails[p][c] * (m // dens[p])
+            yield w, m
+
+
+def _content(a: int, values) -> int:
+    """gcd(a, *values) for a != 0, as a positive int, stopping at 1.  It
+    builds no argument tuple: one per row update, such tuples stayed
+    allocated between the passes of a dense workload and raised its peak RSS."""
+    a = abs(a)
+    for x in values:
+        if a == 1:
+            break
+        a = gcd(a, x)
+    return a
+
+
+# the entries that small systems return most, built once
+_SMALL = {n: Fraction(n) for n in range(-16, 17)}
+
+
+def _fractions(items, m: int) -> Row:
+    """The row of (column, x / m) over integer items (column, x), m != 0."""
+    if m == 1:
+        return {c: _SMALL.get(x) or Fraction(x) for c, x in items}  # x != 0
+    return {c: Fraction(x, m) for c, x in items}
 
 
 def _dense(row: Row, ncols: int) -> Vec:
@@ -166,7 +283,7 @@ def rref(rows) -> list[Vec]:
     ncols = 0
     for r in rows:
         ncols = len(r)
-        ech.add(sparse(r))
+        ech.insert(sparse(r))
     return ech.dense(ncols)
 
 
@@ -181,8 +298,7 @@ def reduce_mod(v: Vec, rref_rows) -> Vec:
 
 def nullspace(rows, ncols: int) -> list[Vec]:
     """Canonical echelon basis of {x : A x = 0} for A given by dense rows."""
-    kernel = Echelon(sparse(r) for r in rows).kernel_basis(range(ncols))
-    return Echelon(kernel).dense(ncols)
+    return Echelon(sparse(r) for r in rows).kernel(range(ncols)).dense(ncols)
 
 
 def mat_vec(rows, v: Vec) -> Vec:

@@ -95,16 +95,32 @@ def test_input_with_utf8_bom(tmp_path, capsys):
     assert capsys.readouterr().out == "H(1,0)+Ab(0,1)  smr (1,1)\n"
 
 
+def _run_in_the_c_locale(*argv):
+    """Run the CLI in a fresh process whose stdout encoding is ASCII."""
+    src = str(Path(superlie.__file__).parent.parent)
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "superlie.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 def test_input_is_utf8_in_the_c_locale(tmp_path):
     """The file is decoded as UTF-8 whatever the locale's encoding is."""
     f = tmp_path / "e.lsa"
     f.write_bytes('algebra "é"\neven x\nodd\n'.encode())
-    src = str(Path(superlie.__file__).parent.parent)
-    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "superlie.cli", "validate", str(f)],
-                          env=env, capture_output=True, text=True, timeout=60)
+    done = _run_in_the_c_locale("validate", str(f))
     assert (done.returncode, done.stdout, done.stderr) == (0, "OK\n", "")
+
+
+@pytest.mark.parametrize("command", ["invariants", "cover"])
+def test_unwritable_name_is_a_typed_error(tmp_path, command):
+    """A name that ASCII stdout cannot write ends in UnwritableOutput (exit
+    2) with nothing on stdout, not in a UnicodeEncodeError traceback."""
+    f = tmp_path / "e.lsa"
+    f.write_bytes('algebra "é"\neven x y z\nodd\n[x,y] = z\n'.encode())
+    done = _run_in_the_c_locale(command, str(f))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: stdout's encoding ascii cannot write '\\xe9'\n"
 
 
 @pytest.mark.parametrize("size", ["0", "-3"])

@@ -17,7 +17,7 @@ from base_change import random_parity_preserving
 from superlie import classify, verification
 from superlie.classify import H10, TABLE, NotCovered, classify_mr_le2
 from superlie.cohomology import cover_candidate
-from superlie.constructions import abelian, heisenberg_even
+from superlie.constructions import abelian, heisenberg_even, model_registry
 from superlie.core import change_basis
 from superlie.invariants import _central_quotient, report
 from superlie.superdim import SuperDim
@@ -105,6 +105,22 @@ def test_lemma_4_6_reads_the_classifier(monkeypatch, corpus_algebras):
     results = verification.run_paper_checks(SEED, SIZE)
     assert asked, "the ledger classified no quotient"
     assert {key for key, res in results.items() if not res.passed} == {"Lemma 4.6"}
+
+
+def test_prop_3_1_reads_the_cached_models(monkeypatch):
+    """Prop 3.1 reads the model algebras that the classifier already holds,
+    with their invariants memoized, and builds no copy of them."""
+    seen = []
+
+    def recording_report(L):
+        seen.append(L)
+        return report(L)
+
+    monkeypatch.setattr(verification, "report", recording_report)
+    verification.run_paper_checks(SEED, 10)
+    models = classify._models().values()
+    assert len(models) == len(model_registry())
+    assert all(any(L is M for L in seen) for M in models)
 
 
 def test_lemma_4_6_h10_branch_witness():

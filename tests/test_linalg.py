@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 from hypothesis import given
@@ -5,9 +7,12 @@ from hypothesis import strategies as st
 import pytest
 
 import reference_linalg as reference
+from oracle import multiplier_oracle
 from superlie import linalg
-from superlie.cohomology import cochain_pairs
-from superlie.constructions import abelian
+from superlie.cohomology import cochain_pairs, multiplier
+from superlie.constructions import abelian, heisenberg_even, heisenberg_odd, model_l4
+from superlie.core import change_basis
+from superlie.errors import SingularMatrix
 
 F = Fraction
 
@@ -190,11 +195,28 @@ def test_reduce_matches_reference(m, data):
 
 
 def _rebuilt_index(ech):
+    """The column index that the integer tails T_p imply; every pivot has
+    one tail and one denominator d_p."""
+    assert ech._dens.keys() == ech._tails.keys()
     where = {}
     for p, tail in ech._tails.items():
         for c in tail:
             where.setdefault(c, set()).add(p)
     return where
+
+
+def _stored_rows(ech):
+    """The canonical rows e_p + T_p / d_p read off the integer storage,
+    after checking that every row is primitive: integer T_p, d_p > 0 and
+    gcd(T_p, d_p) = 1."""
+    rows = []
+    for p in sorted(ech._tails):
+        tail, d = ech._tails[p], ech._dens[p]
+        assert type(d) is int and d > 0
+        assert all(type(x) is int and x for x in tail.values())
+        assert math.gcd(d, *tail.values()) == 1
+        rows.append({p: F(1), **{c: F(x, d) for c, x in sorted(tail.items())}})
+    return rows
 
 
 @given(matrices())
@@ -206,6 +228,107 @@ def test_echelon_column_index_tracks_the_tails(m):
         expected = reference.rref(expected + [v])  # the rref of every row so far
         assert ech._where == _rebuilt_index(ech)
         assert ech.dense(ncols) == expected
+
+
+# -- the integer rows: one primitive integer tail and one denominator each ----
+
+# denominators up to 10^9, pairwise coprime, so that a common denominator
+# grows as large as it can; plain ints mixed in
+_PRIMES = (2, 3, 7, 101, 65537, 999983, 999999937)
+wide_entry = st.one_of(st.builds(Fraction, st.integers(-10**9, 10**9), st.sampled_from(_PRIMES)),
+                       st.integers(-10**9, 10**9), entry)
+
+
+@st.composite
+def wide_matrices(draw):
+    """Up to 6 x 6, each entry zero with probability about a half, so rows
+    meet some pivots and miss others."""
+    ncols = draw(st.integers(1, 6))
+    cell = st.one_of(st.just(0), wide_entry)
+    rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols).map(tuple), max_size=6))
+    return rows, ncols
+
+
+def _fractions_only(rows):
+    return all(type(x) is Fraction for r in rows for x in r.values())
+
+
+@given(st.one_of(matrices(), wide_matrices()), st.data())
+def test_stored_rows_are_primitive_and_canonical(m, data):
+    rows, ncols = m
+    ech = linalg.Echelon()
+    for k, v in enumerate(rows):
+        got = ech.add(linalg.sparse(v))
+        assert got is None or _fractions_only([got])
+        expected = reference.rref(rows[:k + 1])
+        assert _stored_rows(ech) == [linalg.sparse(r) for r in expected]
+    assert ech._where == _rebuilt_index(ech)
+    v = data.draw(st.lists(wide_entry, min_size=ncols, max_size=ncols).map(tuple))
+    resid = ech.reduce(linalg.sparse(v))
+    assert resid == linalg.sparse(reference.reduce_mod(v, reference.rref(rows)))
+    assert ech.contains(linalg.sparse(v)) == (not resid)
+
+
+@given(wide_matrices(), st.data())
+def test_wide_denominators_match_reference(m, data):
+    rows, ncols = m
+    fractions = [tuple(F(x) for x in r) for r in rows]
+    assert linalg.rref(rows) == reference.rref(fractions)
+    assert linalg.nullspace(rows, ncols) == reference.nullspace(fractions, ncols)
+    ech = linalg.Echelon(linalg.sparse(r) for r in rows)
+    kernel = ech.kernel(range(ncols))  # from integer rows, with no Fraction in between
+    assert kernel.rows() == linalg.Echelon(ech.kernel_basis(range(ncols))).rows()
+    assert _stored_rows(kernel) == kernel.rows()
+    v = data.draw(st.lists(wide_entry, min_size=ncols, max_size=ncols).map(tuple))
+    assert (ech.reduce(linalg.sparse(v))
+            == linalg.sparse(reference.reduce_mod(tuple(map(F, v)), reference.rref(fractions))))
+    assert ech.insert(linalg.sparse(v)) == (len(reference.rref(fractions + [tuple(map(F, v))]))
+                                            > len(reference.rref(fractions)))
+
+
+@given(st.one_of(matrices(), wide_matrices()), st.data())
+def test_every_returned_entry_is_a_fraction(m, data):
+    """Entries leave the kernel as Fractions, whether the input held ints,
+    Fractions or both, and whether or not a vector meets a pivot."""
+    rows, ncols = m
+    ech = linalg.Echelon()
+    added = [ech.add({c: x for c, x in enumerate(r) if x}) for r in rows]
+    v = data.draw(st.lists(wide_entry, min_size=ncols, max_size=ncols).map(tuple))
+    assert _fractions_only([r for r in added if r is not None])
+    assert _fractions_only([ech.reduce({c: x for c, x in enumerate(v) if x})])
+    assert _fractions_only(ech.rows())
+    assert _fractions_only(ech.kernel_basis(range(ncols)))
+    assert all(type(x) is Fraction for r in ech.dense(ncols) for x in r)
+
+
+def test_insert_and_contains_agree_with_add_and_reduce():
+    ech = linalg.Echelon()
+    assert ech.insert({0: 2, 1: F(1, 3)}) is True
+    assert ech.insert({0: F(4), 1: F(2, 3)}) is False
+    assert ech.contains({0: -6, 1: -1}) and not ech.contains({1: 1})
+    assert ech.add({1: 5}) == {1: F(1)}
+    assert ech.rows() == [{0: F(1)}, {1: F(1)}]
+    assert ech._tails == {0: {}, 1: {}} and ech._dens == {0: 1, 1: 1}
+
+
+@pytest.mark.parametrize("L", [model_l4(), heisenberg_even(1, 1), heisenberg_odd(2)],
+                         ids=["L4", "H(1,1)", "H(2)"])
+def test_multiplier_of_wide_denominator_conjugates_against_oracle(L):
+    """Base changes whose entries have coprime denominators up to 10^9 give
+    the cocycle system dense rows with large denominators."""
+    rng = random.Random(L.name)
+    d = L.dim
+    while True:
+        P = [[F(rng.randint(-5, 5), rng.choice(_PRIMES)) if L.parities[i] == L.parities[j]
+              else F(0) for j in range(d)] for i in range(d)]
+        try:
+            conj = change_basis(L, P)
+            break
+        except SingularMatrix:
+            continue
+    assert max(c.denominator for _, vec in conj.constants for _, c in vec) > 10**9
+    expected = multiplier_oracle(conj)
+    assert multiplier(conj).sdim_M.as_tuple() == expected == multiplier(L).sdim_M.as_tuple()
 
 
 @st.composite
