@@ -28,6 +28,7 @@ from .core import (
     _orient,
     _sign,
     _support_triples,
+    change_basis,
     derived_subalgebra,
     validate,
 )
@@ -103,20 +104,24 @@ def _cochain(L: LieSuperalgebra, row: linalg.Row) -> Cochain2:
 
 def _cocycle_equations(L: LieSuperalgebra):
     """Yield one sparse linear constraint per basis triple over the free
-    coordinates (i, j).  Each is homogeneous, of the triple's total degree.
-    Triples outside ``_support_triples`` have no nonzero inner bracket, so
-    they give no constraint and are not visited."""
+    coordinates (i, j), in integers: read off the table D·c of
+    ``L._int_table``, it is D times the constraint on the constants c.  Each
+    is homogeneous, of the triple's total degree.  Triples outside
+    ``_support_triples`` have no nonzero inner bracket, so they give no
+    constraint and are not visited."""
     p = L.parities
+    _, table = L._int_table
     for i, j, k in _support_triples(L):
-        row: linalg.Row = {}
+        row: dict[tuple[int, int], int] = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            s = _sign(p[a], p[c])
-            for m, cm in L.basis_bracket(a, b).items():
-                # f(e_m, e_c) in terms of the free coordinates (0 for an even m == c)
-                key, t = _orient(p, m, c) or (None, 0)
-                if t:
-                    v = cm if t == s else -cm
-                    row[key] = row[key] + v if key in row else v
+            if vec := table.get((a, b)):
+                s = _sign(p[a], p[c])
+                for m, cm in vec.items():
+                    # f(e_m, e_c) in terms of the free coordinates (0 for an even m == c)
+                    key, t = _orient(p, m, c) or (None, 0)
+                    if t:
+                        v = cm if t == s else -cm
+                        row[key] = row[key] + v if key in row else v
         if row:
             yield row
 
@@ -133,12 +138,14 @@ def cocycle_space(L: LieSuperalgebra, parity: int) -> list[Cochain2]:
     return [f for f in (_cochain(L, r) for r in _cocycle_basis(L)) if f.parity == parity]
 
 
-def _coboundaries(L: LieSuperalgebra) -> list[linalg.Row]:
-    """The coboundaries (x, y) -> -g([x, y]) of the functionals g = e_k*, one
-    sparse row per k; grading makes row k homogeneous of parity |e_k|."""
-    rows: list[linalg.Row] = [{} for _ in range(L.dim)]
-    for key, vec in L.constants:
-        for k, x in vec:
+def _coboundaries(L: LieSuperalgebra) -> list[dict[tuple[int, int], int]]:
+    """The coboundaries (x, y) -> -g([x, y]) of the functionals g = e_k*,
+    times D, one sparse integer row per k from ``L._int_table``; grading makes
+    row k homogeneous of parity |e_k|."""
+    _, table = L._int_table
+    rows: list[dict[tuple[int, int], int]] = [{} for _ in range(L.dim)]
+    for key, _ in L.constants:
+        for k, x in table[key].items():
             rows[k][key] = -x
     return rows
 
@@ -180,6 +187,37 @@ def multiplier(L: LieSuperalgebra) -> MultiplierResult:
         sdim_M=SuperDim(z[0] - b[0], z[1] - b[1]),
         cocycle_basis=tuple(reps),
     )
+
+
+def multiplier_sdim(L: LieSuperalgebra) -> SuperDim:
+    """sdim M(L), counted: ``multiplier``'s sdim_M with no cocycle space, no
+    coboundary echelon and no representatives built.
+
+    On the parity-π functionals, the kernel of g -> -g∘[·,·] is the
+    annihilator of L², so sdim B² = sdim L² parity by parity, and
+    sdim M_π = |C²_π| - rank_π(cocycle equations) - sdim L²_π.  Ranks do not
+    change under a parity-preserving base change.  So when a canonical row
+    of L² is not a unit vector, the equations are ranked on the conjugate in
+    a basis adapted to L², per parity the unit vectors at L²'s non-pivot
+    columns and then L²'s canonical rows: every bracket lands in the last
+    block there, and the equations are sparse.  Nothing of the conjugate is
+    kept."""
+    L2 = derived_subalgebra(L)
+    A = L
+    if any(len(r) > 1 for r in L2.even + L2.odd):
+        pivots = {r[0][0] for r in L2.even + L2.odd}
+        cols = []  # the adapted basis in L's coordinates, even vectors first
+        for parity, rows in ((0, L2.even), (1, L2.odd)):
+            cols += [{c: 1} for c in range(L.dim) if L.parities[c] == parity and c not in pivots]
+            cols += map(dict, rows)
+        A = change_basis(L, [[col.get(i, 0) for col in cols] for i in range(L.dim)])
+    ne, no = L.n_even, L.n_odd
+    count = [ne * (ne - 1) // 2 + no * (no + 1) // 2 - L2.sdim.even, ne * no - L2.sdim.odd]
+    ech = linalg.Echelon()
+    for row in _cocycle_equations(A):
+        if ech.insert(row):
+            count[_parity(L.parities, next(iter(row)))] -= 1
+    return SuperDim(*count)
 
 
 @dataclass(frozen=True, eq=False)

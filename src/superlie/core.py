@@ -125,7 +125,7 @@ class LieSuperalgebra:
             if not (0 <= i <= j < d):
                 raise InvalidParams(f"bad constant key ({i},{j})")
             if _orient(self.parities, i, j) is None:
-                raise InvalidParams(f"[e{i},e{i}] must vanish for even e{i}")
+                raise InvalidParams("[{0},{0}] must vanish for even {0}".format(self.labels[i]))
             if (not vec or any(c == 0 for _, c in vec)
                     or any(a >= b for (a, _), (b, _) in zip(vec, vec[1:]))):
                 raise InvalidParams(f"constant vector for ({i},{j}) is not normalized")
@@ -137,7 +137,7 @@ class LieSuperalgebra:
             deg = (self.parities[i] + self.parities[j]) % 2
             for k, _ in vec:
                 if self.parities[k] != deg:
-                    raise GradingError(i, j, k)
+                    raise GradingError(i, j, k, self.labels)
 
     def _check_jacobi(self):
         # Graded skew-symmetry makes the cyclic Jacobi expression symmetric
@@ -145,12 +145,10 @@ class LieSuperalgebra:
         # term needs all three indices active, so the first failing triple
         # is the same as over all sorted triples.  The identity is
         # homogeneous of degree 2 in the constants, so it is summed exactly
-        # in integers on D·c, D the lcm of their denominators, and a
-        # residual is scaled back by D².
+        # in integers on the table D·c of ``_int_table``, and a residual is
+        # scaled back by D².
         p = self.parities
-        D = math.lcm(*(c.denominator for _, vec in self.constants for _, c in vec))
-        table = {key: {k: c.numerator * (D // c.denominator) for k, c in vec.items()}
-                 for key, vec in self._table.items()}
+        D, table = self._int_table
         for i, j, k in _support_triples(self, active=True):
             res: dict[int, int] = {}
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
@@ -189,6 +187,15 @@ class LieSuperalgebra:
             _, s = _orient(self.parities, j, i)
             table[i, j], table[j, i] = dict(vec), {k: s * c for k, c in vec}
         return table
+
+    @cached_property
+    def _int_table(self) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
+        """(D, D·``_table``), D the lcm of the constants' denominators.  An
+        entry over D itself shares ``_table``'s numerator object."""
+        D = math.lcm(*(c.denominator for _, vec in self.constants for _, c in vec))
+        return D, {key: {k: c.numerator if c.denominator == D
+                         else c.numerator * (D // c.denominator) for k, c in vec.items()}
+                   for key, vec in self._table.items()}
 
     def basis_bracket(self, i: int, j: int) -> dict[int, Fraction]:
         """[e_i, e_j] as a shared (read-only) sparse dict, any index order."""

@@ -17,9 +17,10 @@ class InvalidParams(SuperlieError, ValueError):
 class GradingError(SuperlieError):
     """A structure constant lands on a basis element of the wrong parity."""
 
-    def __init__(self, i, j, k):
+    def __init__(self, i, j, k, labels):
         self.i, self.j, self.k = i, j, k
-        super().__init__(f"bracket [e{i},e{j}] has a component on e{k} of the wrong parity")
+        super().__init__(f"bracket [{labels[i]},{labels[j]}] has a component on {labels[k]}"
+                         " of the wrong parity")
 
 
 class JacobiError(SuperlieError):

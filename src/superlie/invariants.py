@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import core
-from .cohomology import multiplier
+from .cohomology import multiplier, multiplier_sdim
 from .core import LieSuperalgebra, Subspace
 from .errors import NonHomogeneous, NotInSecondCenterMinusCenter
 from .superdim import SignedPair, SuperDim, bound, tensor
@@ -36,8 +36,9 @@ class InvariantReport:
 
 
 def _sdim_M(L: LieSuperalgebra) -> SuperDim:
-    """sdim M(L), from one ``multiplier`` run per algebra."""
-    return core._memo(L, "_sdim_M", lambda: multiplier(L).sdim_M)
+    """sdim M(L), counted once per algebra by ``multiplier_sdim``, which
+    builds no cocycle space and no representatives."""
+    return core._memo(L, "_sdim_M", lambda: multiplier_sdim(L))
 
 
 def _central_quotient(L: LieSuperalgebra) -> LieSuperalgebra:

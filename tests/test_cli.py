@@ -47,6 +47,17 @@ def test_validate_math_error(tmp_path, capsys):
     assert "JacobiError" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bracket, message", [
+    ("[a,b] = u", "GradingError: bracket [a,b] has a component on u of the wrong parity"),
+    ("[a,a] = b", "InvalidParams: [a,a] must vanish for even a"),
+], ids=["grading", "even-diagonal"])
+def test_validate_error_names_the_file_labels(tmp_path, capsys, bracket, message):
+    f = tmp_path / "bad.lsa"
+    f.write_text(f'algebra "X"\neven a b\nodd u\n{bracket}\n')
+    assert main(["validate", str(f)]) == 1
+    assert capsys.readouterr().out == f"invalid: {message}\n"
+
+
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 64
     assert "usage" in capsys.readouterr().err

@@ -74,14 +74,14 @@ def test_validate_rejects_bad_parities():
 def test_validate_rejects_bad_storage():
     with pytest.raises(InvalidParams):
         validate([0, 0, 0], {(1, 0): {2: 1}})  # i > j
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=r"^\[e1,e1\] must vanish for even e1$"):
         validate([0, 0], {(0, 0): {1: 1}})  # even diagonal
     with pytest.raises(InvalidParams):
         validate([0, 0], {(0, 1): {5: 1}})  # out of range target
 
 
 def test_validate_rejects_grading_violation():
-    with pytest.raises(GradingError):
+    with pytest.raises(GradingError, match=r"^bracket \[e1,e2\] has a component on e3 of"):
         validate([0, 0, 1], {(0, 1): {2: 1}})
     with pytest.raises(GradingError):
         validate([0, 1, 1], {(1, 2): {2: 1}})

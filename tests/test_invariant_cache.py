@@ -20,7 +20,7 @@ import pytest
 
 from base_change import SO3, base_changed
 import reference_core as reference
-from superlie import core, invariants, verification
+from superlie import cohomology, core, invariants, verification
 from superlie.classify import TableReport, classify_mr_le2, fingerprint
 from superlie.cohomology import multiplier
 from superlie.constructions import abelian, heisenberg_even, heisenberg_odd, model_l4
@@ -82,22 +82,30 @@ def test_cache_is_exact_after_base_change(L):
 @pytest.mark.parametrize("L", [model_l4(), ALGEBRAS[-1], heisenberg_odd(2)],
                          ids=lambda L: L.name)
 def test_each_invariant_is_computed_once(monkeypatch, L):
+    """sdim M is counted once per algebra, L and L/Z(L) among them (the
+    classifier may count a table model once per process), and no
+    ``multiplier`` runs: ``report`` builds no cocycle space."""
     L = _fresh(L)
-    kernels, multipliers = [], []
-    ad_kernel, mult = core._ad_kernel, invariants.multiplier
+    kernels, counted, multipliers = [], [], []
+    ad_kernel, count, mult = core._ad_kernel, invariants.multiplier_sdim, cohomology.multiplier
 
     def counting_ad_kernel(A, brackets, modulo):
         if A is L:
             kernels.append(modulo)
         return ad_kernel(A, brackets, modulo)
 
+    def counting_count(A):
+        counted.append(A)
+        return count(A)
+
     def counting_multiplier(A):
-        if A is L:
-            multipliers.append(A)
+        multipliers.append(A)
         return mult(A)
 
     monkeypatch.setattr(core, "_ad_kernel", counting_ad_kernel)
+    monkeypatch.setattr(invariants, "multiplier_sdim", counting_count)
     monkeypatch.setattr(invariants, "multiplier", counting_multiplier)
+    monkeypatch.setattr(cohomology, "multiplier", counting_multiplier)
     for _ in range(2):
         report(L)
         check_bounds(L)
@@ -105,7 +113,10 @@ def test_each_invariant_is_computed_once(monkeypatch, L):
         second_center(L)
     # Z(L) is the kernel modulo 0, Z₂(L) the kernel modulo Z(L)
     assert kernels == [Subspace.zero(L), center(L)]
-    assert len(multipliers) == 1
+    assert len({id(A) for A in counted}) == len(counted)
+    Q = invariants._central_quotient(L)
+    assert [A for A in counted if A is L or A is Q] == [L, Q]
+    assert multipliers == []
 
 
 def test_no_reference_cycle():

@@ -1,7 +1,8 @@
 """The sparse triple enumerator ``core._support_triples`` against the checks
 that visited every sorted basis triple (``reference_core``): the same
 Jacobi verdicts with the same first failing triple, the same 2-cocycle
-equations in the same order, and the same cocycle bases.  Also the
+equations in the same order (in integers, times the lcm D of the
+denominators), and the same cocycle bases.  Also the
 two-orientation bracket table and ``core._orient`` against the per-call
 graded skew-symmetry they replace: the same brackets, cochain pairs and
 cochain values for every ordered index pair.  And the one system that
@@ -13,6 +14,7 @@ support triples with all three indices active, and the same first failing
 triple and residual; the cocycle equations keep every support triple."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -160,12 +162,16 @@ def _of_parity(L, rows, parity):
 
 @pytest.mark.parametrize("L", ALGEBRAS, ids=lambda L: f"{L.name}-{L.dim}")
 def test_cocycle_equations_and_basis_match_reference(L):
+    """Each equation is D times the reference row, entry by entry, in ints."""
     equations = list(cohomology._cocycle_equations(L))
+    assert all(type(x) is int for row in equations for x in row.values())
     basis = cohomology._cocycle_basis(L)
+    D = math.lcm(*(c.denominator for _, vec in L.constants for _, c in vec))
     for parity in (0, 1):
         col = _cols(L, parity)
-        assert (_of_parity(L, equations, parity)
-                == _by_pair(L, parity, reference.cocycle_equations(L, parity, col)))
+        scaled = [{c: D * x for c, x in row.items()}
+                  for row in reference.cocycle_equations(L, parity, col)]
+        assert _of_parity(L, equations, parity) == _by_pair(L, parity, scaled)
         ref = Echelon(Echelon(reference.cocycle_equations(L, parity, col))
                       .kernel_basis(range(len(col))))
         assert _of_parity(L, basis, parity) == _by_pair(L, parity, ref.rows())
