@@ -24,11 +24,12 @@ from .core import (
     LieSuperalgebra,
     LinearMap,
     Subspace,
+    _bracket,
     _free_pairs,
+    _int_table,
     _orient,
     _sign,
     _support_triples,
-    change_basis,
     derived_subalgebra,
     validate,
 )
@@ -105,12 +106,12 @@ def _cochain(L: LieSuperalgebra, row: linalg.Row) -> Cochain2:
 def _cocycle_equations(L: LieSuperalgebra):
     """Yield one sparse linear constraint per basis triple over the free
     coordinates (i, j), in integers: read off the table D·c of
-    ``L._int_table``, it is D times the constraint on the constants c.  Each
+    ``_int_table``, it is D times the constraint on the constants c.  Each
     is homogeneous, of the triple's total degree.  Triples outside
     ``_support_triples`` have no nonzero inner bracket, so they give no
     constraint and are not visited."""
     p = L.parities
-    _, table = L._int_table
+    _, table = _int_table(L)
     for i, j, k in _support_triples(L):
         row: dict[tuple[int, int], int] = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
@@ -140,9 +141,9 @@ def cocycle_space(L: LieSuperalgebra, parity: int) -> list[Cochain2]:
 
 def _coboundaries(L: LieSuperalgebra) -> list[dict[tuple[int, int], int]]:
     """The coboundaries (x, y) -> -g([x, y]) of the functionals g = e_k*,
-    times D, one sparse integer row per k from ``L._int_table``; grading makes
+    times D, one sparse integer row per k from ``_int_table``; grading makes
     row k homogeneous of parity |e_k|."""
-    _, table = L._int_table
+    _, table = _int_table(L)
     rows: list[dict[tuple[int, int], int]] = [{} for _ in range(L.dim)]
     for key, _ in L.constants:
         for k, x in table[key].items():
@@ -197,20 +198,25 @@ def multiplier_sdim(L: LieSuperalgebra) -> SuperDim:
     annihilator of L², so sdim B² = sdim L² parity by parity, and
     sdim M_π = |C²_π| - rank_π(cocycle equations) - sdim L²_π.  Ranks do not
     change under a parity-preserving base change.  So when a canonical row
-    of L² is not a unit vector, the equations are ranked on the conjugate in
-    a basis adapted to L², per parity the unit vectors at L²'s non-pivot
-    columns and then L²'s canonical rows: every bracket lands in the last
-    block there, and the equations are sparse.  Nothing of the conjugate is
-    kept."""
+    of L² is not a unit vector, the equations are ranked on the conjugate A
+    whose basis vector at each pivot p of L² is L²'s canonical row r_p, the
+    others staying e_i.  Every bracket lies in L², and the rows are reduced,
+    so its coordinate on r_p is its entry at p: A's constants are those
+    entries, with no inverse to apply, and its equations are sparse.
+    Nothing of A is kept."""
     L2 = derived_subalgebra(L)
+    rows = L2.even + L2.odd
     A = L
-    if any(len(r) > 1 for r in L2.even + L2.odd):
-        pivots = {r[0][0] for r in L2.even + L2.odd}
-        cols = []  # the adapted basis in L's coordinates, even vectors first
-        for parity, rows in ((0, L2.even), (1, L2.odd)):
-            cols += [{c: 1} for c in range(L.dim) if L.parities[c] == parity and c not in pivots]
-            cols += map(dict, rows)
-        A = change_basis(L, [[col.get(i, 0) for col in cols] for i in range(L.dim)])
+    if any(len(r) > 1 for r in rows):
+        cols: list[linalg.Row] = [{i: 1} for i in range(L.dim)]
+        for r in rows:
+            cols[r[0][0]] = dict(r)
+        pivots = [r[0][0] for r in rows]
+        consts = {}
+        for a, b in _free_pairs(L.parities):
+            v = _bracket(L, cols[a], cols[b])
+            consts[a, b] = {p: v[p] for p in pivots if v.get(p)}
+        A = validate(L.parities, consts, name=L.name, labels=L.labels)
     ne, no = L.n_even, L.n_odd
     count = [ne * (ne - 1) // 2 + no * (no + 1) // 2 - L2.sdim.even, ne * no - L2.sdim.odd]
     ech = linalg.Echelon()

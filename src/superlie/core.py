@@ -58,6 +58,13 @@ def _free_pairs(parities) -> list[tuple[int, int]]:
     return [(i, j) for i in range(d) for j in range(i, d) if i < j or parities[i]]
 
 
+def _int_table(L: LieSuperalgebra):
+    """(D, D·``L._table``), D the lcm of the constants' denominators."""
+    D = math.lcm(*(c.denominator for _, vec in L.constants for _, c in vec))
+    return D, {key: {k: c.numerator * (D // c.denominator) for k, c in vec.items()}
+               for key, vec in L._table.items()}
+
+
 def _support_triples(L: LieSuperalgebra, active: bool = False):
     """Yield, in sorted order, the triples i <= j <= k for which (i, j),
     (j, k) or (i, k) is a stored constant key; with ``active``, only those
@@ -148,7 +155,7 @@ class LieSuperalgebra:
         # in integers on the table D·c of ``_int_table``, and a residual is
         # scaled back by D².
         p = self.parities
-        D, table = self._int_table
+        D, table = _int_table(self)
         for i, j, k in _support_triples(self, active=True):
             res: dict[int, int] = {}
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
@@ -187,15 +194,6 @@ class LieSuperalgebra:
             _, s = _orient(self.parities, j, i)
             table[i, j], table[j, i] = dict(vec), {k: s * c for k, c in vec}
         return table
-
-    @cached_property
-    def _int_table(self) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
-        """(D, D·``_table``), D the lcm of the constants' denominators.  An
-        entry over D itself shares ``_table``'s numerator object."""
-        D = math.lcm(*(c.denominator for _, vec in self.constants for _, c in vec))
-        return D, {key: {k: c.numerator if c.denominator == D
-                         else c.numerator * (D // c.denominator) for k, c in vec.items()}
-                   for key, vec in self._table.items()}
 
     def basis_bracket(self, i: int, j: int) -> dict[int, Fraction]:
         """[e_i, e_j] as a shared (read-only) sparse dict, any index order."""

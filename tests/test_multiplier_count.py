@@ -2,7 +2,7 @@
 one, and the identity it rests on: sdim B² = sdim L², parity by parity, as
 the kernel of g -> -g∘[·,·] is the annihilator of L².  Also the choice of
 basis it ranks the cocycle equations in: L itself when L² has unit canonical
-rows, else the conjugate in a basis adapted to L²."""
+rows, else its conjugate in a basis adapted to L²."""
 
 import random
 
@@ -70,31 +70,8 @@ def test_which_rows_of_the_derived_subalgebra_are_units():
     assert all(_unit_rows(L) for L in UNIT)
 
 
-def _conjugations(monkeypatch, L):
-    calls = []
-
-    def recorded(A, P):
-        calls.append(A)
-        return change_basis(A, P)
-
-    monkeypatch.setattr(cohomology, "change_basis", recorded)
-    multiplier_sdim(L)
-    return calls
-
-
-@pytest.mark.parametrize("L", NON_UNIT, ids=lambda L: f"{L.name}-{L.dim}")
-def test_non_unit_rows_take_the_adapted_basis(monkeypatch, L):
-    assert _conjugations(monkeypatch, L) == [L]
-
-
-@pytest.mark.parametrize("L", UNIT, ids=lambda L: f"{L.name}-{L.dim}")
-def test_unit_rows_count_on_the_algebra_itself(monkeypatch, L):
-    assert _conjugations(monkeypatch, L) == []
-
-
-def test_the_adapted_basis_puts_every_bracket_in_the_last_block(monkeypatch):
-    """The conjugate the count ranks on has every bracket in the span of the
-    last sdim L² basis vectors of each parity, and unit rows for L²."""
+def _ranked_on(monkeypatch, L):
+    """The algebra whose cocycle equations ``multiplier_sdim(L)`` ranks."""
     equations, seen = cohomology._cocycle_equations, []
 
     def recorded(A):
@@ -102,10 +79,27 @@ def test_the_adapted_basis_puts_every_bracket_in_the_last_block(monkeypatch):
         return equations(A)
 
     monkeypatch.setattr(cohomology, "_cocycle_equations", recorded)
-    for L in NON_UNIT:
-        multiplier_sdim(L)
-        A = seen.pop()
-        l2 = derived_subalgebra(L).sdim
-        block = set(range(A.n_even - l2.even, A.n_even)) | set(range(A.dim - l2.odd, A.dim))
-        assert {k for _, vec in A.constants for k, _ in vec} <= block
-        assert derived_subalgebra(A).sdim == l2 and _unit_rows(A)
+    multiplier_sdim(L)
+    [A] = seen
+    return A
+
+
+@pytest.mark.parametrize("L", UNIT, ids=lambda L: f"{L.name}-{L.dim}")
+def test_unit_rows_count_on_the_algebra_itself(monkeypatch, L):
+    assert _ranked_on(monkeypatch, L) is L
+
+
+@pytest.mark.parametrize("L", NON_UNIT, ids=lambda L: f"{L.name}-{L.dim}")
+def test_non_unit_rows_count_on_the_adapted_conjugate(monkeypatch, L):
+    """The algebra ranked is ``change_basis(L, P)``, P's column at each pivot
+    p of L² the canonical row r_p and e_i elsewhere; every bracket lies on
+    the pivot columns, and L² has unit rows there."""
+    A = _ranked_on(monkeypatch, L)
+    rows = derived_subalgebra(L).even + derived_subalgebra(L).odd
+    cols = [{i: 1} for i in range(L.dim)]
+    for r in rows:
+        cols[r[0][0]] = dict(r)
+    P = [[col.get(i, 0) for col in cols] for i in range(L.dim)]
+    assert A is not L and A.structure_equals(change_basis(L, P))
+    assert {k for _, vec in A.constants for k, _ in vec} <= {r[0][0] for r in rows}
+    assert derived_subalgebra(A).sdim == derived_subalgebra(L).sdim and _unit_rows(A)
