@@ -24,9 +24,9 @@ from .core import (
     LieSuperalgebra,
     LinearMap,
     Subspace,
-    _bracket,
     _free_pairs,
     _int_table,
+    _memo,
     _orient,
     _sign,
     _support_triples,
@@ -190,6 +190,45 @@ def multiplier(L: LieSuperalgebra) -> MultiplierResult:
     )
 
 
+def _adapted(L: LieSuperalgebra) -> LieSuperalgebra | None:
+    """L's conjugate in a basis adapted to L², or None when every canonical
+    row of L² is a unit vector; built at most once per algebra and kept on L.
+
+    The basis vector at each pivot p of L² is L²'s canonical row r_p, the
+    others stay e_i.  Every bracket lies in L², and the rows are reduced, so
+    its coordinate on r_p is its entry at p: the conjugate's constants are
+    those entries, with no inverse to apply.  They are summed in integers
+    over the table D·c of ``_int_table`` and each r_p scaled to integers over
+    its denominator, and only the pivot entries are read.  A table whose
+    vectors each have one entry has unit rows, so it needs no echelon."""
+    def build():
+        if all(len(vec) == 1 for _, vec in L.constants):
+            return None
+        L2 = derived_subalgebra(L)
+        rows = L2.even + L2.odd
+        if all(len(r) == 1 for r in rows):
+            return None
+        D, table = _int_table(L)
+        pivots = {r[0][0] for r in rows}
+        at = {key: {p: x for p, x in vec.items() if p in pivots} for key, vec in table.items()}
+        # the new basis vectors as (R, d), integer R over d: e_i, or r_p = R_p / d_p
+        cols = [({i: 1}, 1) for i in range(L.dim)]
+        for r in rows:
+            d = linalg._lcm(c.denominator for _, c in r)
+            cols[r[0][0]] = {k: c.numerator * (d // c.denominator) for k, c in r}, d
+        consts = {}
+        for a, b in _free_pairs(L.parities):
+            (ra, da), (rb, db), v = cols[a], cols[b], {}
+            for i, x in ra.items():
+                for j, y in rb.items():
+                    for p, z in at.get((i, j), {}).items():
+                        v[p] = v[p] + x * y * z if p in v else x * y * z
+            if v:
+                consts[a, b] = {p: Fraction(x, D * da * db) for p, x in v.items() if x}
+        return validate(L.parities, consts, name=L.name, labels=L.labels)
+    return _memo(L, "_adapted", build)
+
+
 def multiplier_sdim(L: LieSuperalgebra) -> SuperDim:
     """sdim M(L), counted: ``multiplier``'s sdim_M with no cocycle space, no
     coboundary echelon and no representatives built.
@@ -197,26 +236,12 @@ def multiplier_sdim(L: LieSuperalgebra) -> SuperDim:
     On the parity-π functionals, the kernel of g -> -g∘[·,·] is the
     annihilator of L², so sdim B² = sdim L² parity by parity, and
     sdim M_π = |C²_π| - rank_π(cocycle equations) - sdim L²_π.  Ranks do not
-    change under a parity-preserving base change.  So when a canonical row
-    of L² is not a unit vector, the equations are ranked on the conjugate A
-    whose basis vector at each pivot p of L² is L²'s canonical row r_p, the
-    others staying e_i.  Every bracket lies in L², and the rows are reduced,
-    so its coordinate on r_p is its entry at p: A's constants are those
-    entries, with no inverse to apply, and its equations are sparse.
-    Nothing of A is kept."""
+    change under a parity-preserving base change, so the equations are
+    ranked on the conjugate adapted to L² that ``_adapted`` keeps on L (the
+    Jacobi check has often built it), where they are sparse, or on L itself
+    when L² has unit canonical rows."""
     L2 = derived_subalgebra(L)
-    rows = L2.even + L2.odd
-    A = L
-    if any(len(r) > 1 for r in rows):
-        cols: list[linalg.Row] = [{i: 1} for i in range(L.dim)]
-        for r in rows:
-            cols[r[0][0]] = dict(r)
-        pivots = [r[0][0] for r in rows]
-        consts = {}
-        for a, b in _free_pairs(L.parities):
-            v = _bracket(L, cols[a], cols[b])
-            consts[a, b] = {p: v[p] for p in pivots if v.get(p)}
-        A = validate(L.parities, consts, name=L.name, labels=L.labels)
+    A = _adapted(L) or L
     ne, no = L.n_even, L.n_odd
     count = [ne * (ne - 1) // 2 + no * (no + 1) // 2 - L2.sdim.even, ne * no - L2.sdim.odd]
     ech = linalg.Echelon()

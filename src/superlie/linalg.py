@@ -245,6 +245,16 @@ def _content(a: int, values) -> int:
     return a
 
 
+def _lcm(values) -> int:
+    """lcm(1, *values) of positive ints, kept as a running value, so that
+    like ``_content`` it builds no argument tuple."""
+    m = 1
+    for x in values:
+        if m % x:
+            m = lcm(m, x)
+    return m
+
+
 # the entries that small systems return most, built once
 _SMALL = {n: Fraction(n) for n in range(-16, 17)}
 

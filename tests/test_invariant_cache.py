@@ -43,8 +43,13 @@ ALGEBRAS = MODELS + corpus(0, 60)
 
 
 def _fresh(L: LieSuperalgebra) -> LieSuperalgebra:
-    """An equal-by-value copy of L with an empty cache."""
-    return LieSuperalgebra(L.parities, L.constants, L.name, L.labels)
+    """An equal-by-value copy of L with an empty cache.  The Jacobi check
+    may fill L² and the conjugate adapted to it at construction; both are
+    dropped, so that every value read from the copy is computed afresh."""
+    K = LieSuperalgebra(L.parities, L.constants, L.name, L.labels)
+    for key in ("_derived", "_adapted"):
+        vars(K).pop(key, None)
+    return K
 
 
 def _prime(L):

@@ -361,3 +361,8 @@ def test_echelon_on_pair_labels_matches_integer_labels(m):
     assert paired.reduce(by_pair(linalg.sparse(v))) == by_pair(positional.reduce(linalg.sparse(v)))
     assert (paired.kernel_basis(pairs)
             == [by_pair(r) for r in positional.kernel_basis(range(len(pairs)))])
+
+
+@given(st.lists(st.integers(1, 60), max_size=12))
+def test_running_lcm_matches_math_lcm(values):
+    assert linalg._lcm(iter(values)) == math.lcm(1, *values)
