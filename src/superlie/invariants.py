@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import core
+from . import core, linalg
 from .cohomology import multiplier, multiplier_sdim
-from .core import LieSuperalgebra, Subspace
+from .core import LieSuperalgebra
 from .errors import NonHomogeneous, NotInSecondCenterMinusCenter
 from .superdim import SignedPair, SuperDim, bound, tensor
 
@@ -80,24 +80,84 @@ def report(L: LieSuperalgebra) -> InvariantReport:
     )
 
 
-def lambda_mu(L: LieSuperalgebra, z) -> tuple[SuperDim, SuperDim]:
-    """For homogeneous z in Z₂(L) \\ Z(L): the superdimensions of [L, z] and
-    of the central quotient of L/[L, z].
+def _act(terms) -> dict[int, linalg.Row]:
+    """{t: [x, e_t]} for x = Σ c y over pairs (c, {t: [y, e_t]}) whose
+    brackets are nonzero, with the zero brackets of x dropped: x is central
+    exactly when it is empty.  One pair with c = 1 is returned as it is, so
+    the result is read-only."""
+    terms = list(terms)
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    out: dict[int, linalg.Row] = {}
+    for c, action in terms:
+        for t, vec in action.items():
+            linalg._axpy(out.setdefault(t, {}), c, vec)
+    return {t: v for t, v in out.items() if v}
 
-    The center of L/[L, z] is P/[L, z] for P = {x : [x, L] inside [L, z]},
-    the ad-map kernel of the stored bracket table modulo [L, z], so
-    μ = sdim L - sdim P, and no quotient algebra is built."""
+
+def _z2_action_table(L: LieSuperalgebra):
+    """(p, r_p, {t: [r_p, e_t]}) for each canonical row r_p of Z₂(L), p its
+    pivot, in pivot order (even rows first), with only the nonzero brackets
+    kept.  The rows are the cached ``Coeffs`` of Z₂, and a unit row shares
+    the vectors of the stored table, so the table holds no reference to L
+    and copies little."""
+    Z2 = core.second_center(L)
+    ad: dict[int, dict[int, linalg.Row]] = {}  # i -> {t: [e_i, e_t]}
+    for (i, t), vec in L._table.items():
+        ad.setdefault(i, {})[t] = vec
+    return tuple((r[0][0], r, _act((c, ad.get(i, {})) for i, c in r))
+                 for r in Z2.even + Z2.odd)
+
+
+def _z2_action(L: LieSuperalgebra):
+    """``_z2_action_table(L)``, built once per algebra."""
+    return core._memo(L, "_z2_action", lambda: _z2_action_table(L))
+
+
+def lambda_mu(L: LieSuperalgebra, z) -> tuple[SuperDim, SuperDim]:
+    """For homogeneous z in Z₂(L) \\ Z(L): λ = sdim [L, z] and μ = the
+    superdimension of the central quotient of L/[L, z].
+
+    Everything is read from the canonical rows r_p of Z₂ and their brackets
+    [r_p, e_t] (``_z2_action``).  The rows are zero at each other's pivots,
+    so z lies in Z₂ exactly when z = Σ z_p r_p, z_p its entry at the pivot
+    p; then [z, e_t] = Σ z_p [r_p, e_t] spans [L, z], which is zero exactly
+    when z is central.  The center of L/[L, z] is P/[L, z] for
+    P = {x : [x, L] inside [L, z]}, so μ = sdim L - sdim P, and no quotient
+    algebra is built.  As z lies in Z₂, [L, z] lies in Z(L), so P lies in
+    Z₂: P is the kernel of c -> (t -> [Σ c_p r_p, e_t] modulo [L, z]).  The
+    coordinate k of that residual is one equation over the c_p, and, as in
+    ``core._ad_kernel``, every r_p in it has parity |e_k| + |e_t|, so per
+    parity sdim P is the number of rows less the rank of their equations.
+    """
     z = tuple(Fraction(c) for c in z)
     if L.vector_parity(z) is None:
         raise NonHomogeneous("lambda/mu require a nonzero homogeneous element")
-    Z = core.center(L)
-    Z2 = core.second_center(L)
-    if Z.contains(z) or not Z2.contains(z):
+    table = _z2_action(L)
+    zs = linalg.sparse(z)
+    terms = [(zs[p], row, action) for p, row, action in table if p in zs]
+    in_z2: linalg.Row = {}
+    for c, row, _ in terms:
+        linalg._axpy(in_z2, c, dict(row))
+    brackets = _act((c, action) for c, _, action in terms)
+    if in_z2 != zs or not brackets:
         raise NotInSecondCenterMinusCenter(
             "element must lie in the second center but not the center")
-    Lz = core.bracket_subspaces(L, Subspace.full(L), Subspace.span(L, [z]))
-    P = core._ad_kernel(L, L._table, Lz)
-    return Lz.sdim, (L.sdim - P.sdim).to_superdim()
+    par = L.parities
+    # [L, z] per parity: the parities' columns are disjoint
+    Lz = (linalg.Echelon(), linalg.Echelon())
+    for t, vec in brackets.items():
+        Lz[par[min(vec)]].insert(vec)
+    eqs: dict[tuple[int, int], linalg.Row] = {}
+    for p, _, action in table:
+        for t, vec in action.items():
+            for k, x in Lz[par[p] ^ par[t]].reduce(vec).items():
+                eqs.setdefault((t, k), {})[p] = x
+    rows = [sum(1 for p, *_ in table if par[p] == q) for q in (0, 1)]
+    ranks = [len(linalg.Echelon(eq for (t, k), eq in eqs.items() if par[t] ^ par[k] == q))
+             for q in (0, 1)]
+    lam = SuperDim(len(Lz[0]), len(Lz[1]))
+    return lam, SuperDim(L.n_even - rows[0] + ranks[0], L.n_odd - rows[1] + ranks[1])
 
 
 @dataclass(frozen=True, eq=False)

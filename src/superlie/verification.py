@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import core
+from . import linalg
 from .classify import (
     ABELIAN,
     H10,
@@ -27,7 +27,9 @@ from .cohomology import multiplier
 from .constructions import abelian, heisenberg_even, heisenberg_odd, model_l4
 from .corpus import corpus
 from .invariants import (
+    _act,
     _central_quotient,
+    _z2_action,
     check_bounds,
     kunneth_check,
     lambda_mu,
@@ -61,20 +63,22 @@ _Z2_MIXES = 2
 
 
 def _central_z2_samples(L, rng: random.Random):
-    """Homogeneous representatives of Z₂(L) outside Z(L)."""
-    Z = core.center(L)
-    Z2 = core.second_center(L)
-    out = []
-    for rows in (Z2.even_rows, Z2.odd_rows):
-        rows = [r for r in rows if not Z.contains(r)]
-        out.extend(rows)
+    """Homogeneous representatives of Z₂(L) outside Z(L): per parity, the
+    canonical rows of Z₂ and random mixtures a + c·b of two of them, each
+    kept when it acts, that is, when its brackets with the basis are not all
+    zero (``invariants._z2_action``)."""
+    table, out = _z2_action(L), []
+    for q in (0, 1):
+        rows = [(row, action) for p, row, action in table if L.parities[p] == q and action]
+        out.extend(linalg._dense(dict(row), L.dim) for row, _ in rows)
         for _ in range(_Z2_MIXES):
             if len(rows) >= 2:
-                a, b = rng.sample(rows, 2)
+                (a, act_a), (b, act_b) = rng.sample(rows, 2)
                 c = Fraction(rng.randint(1, 3))
-                v = tuple(x + c * y for x, y in zip(a, b))
-                if not Z.contains(v):
-                    out.append(v)
+                if _act(((1, act_a), (c, act_b))):
+                    v = dict(a)
+                    linalg._axpy(v, c, dict(b))
+                    out.append(linalg._dense(v, L.dim))
     return out
 
 

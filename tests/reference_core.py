@@ -1,8 +1,10 @@
 """The subspace calculus that ``superlie.core`` used before it ran on the
 one ``Echelon`` kernel, the quotient-based ``lambda_mu`` of
-``superlie.invariants``, the dense ``LieSuperalgebra.bracket`` and
-index-map ``direct_sum`` that ``superlie.core`` used before its one sparse
-bracket, and the graded-Jacobi check and 2-cocycle equations of
+``superlie.invariants`` and the ``_central_z2_samples`` of
+``superlie.verification`` that tested membership in Z(L) against its
+echelon (both before they read the brackets of Z₂'s rows with the basis),
+the dense ``LieSuperalgebra.bracket`` and index-map ``direct_sum`` that
+``superlie.core`` used before its one sparse bracket, and the graded-Jacobi check and 2-cocycle equations of
 ``superlie.core`` and ``superlie.cohomology`` that visited every sorted basis
 triple, the dense ``Cochain2.plus`` of ``superlie.cohomology``, and the
 per-call graded skew-symmetry of ``LieSuperalgebra.basis_bracket``,
@@ -28,7 +30,8 @@ kernel with the dense vector helpers (``zero_vec``, ``vec_add``,
 ``vec_scale``) and the elimination (``reduce_mod``, ``nullspace``,
 ``invert``) taken from the dense seed kernel in ``reference_linalg``.  ``second_center`` quotients
 with the ``quotient`` here.  Tests compare ``second_center``,
-``Subspace.intersection``, ``derived_subalgebra``, ``lambda_mu``, ``bracket``,
+``Subspace.intersection``, ``derived_subalgebra``, ``lambda_mu``,
+``central_z2_samples`` (the former ``_central_z2_samples``), ``bracket``,
 ``direct_sum``, ``check_jacobi``, ``cocycle_equations``, ``Cochain2.plus``,
 ``basis_bracket``, ``cochain_pairs``, ``Cochain2.__call__``, ``quotient``,
 ``change_basis``, ``Subspace.span`` and ``_ad_kernel`` against these, and
@@ -79,6 +82,7 @@ from superlie.errors import (
 )
 from superlie.linalg import Vec
 from superlie.superdim import SuperDim
+from superlie.verification import _Z2_MIXES
 
 linalg = SimpleNamespace(
     zero_vec=reference_linalg.zero_vec,
@@ -169,6 +173,24 @@ def lambda_mu(L: LieSuperalgebra, z) -> tuple[SuperDim, SuperDim]:
     Q, _ = core.quotient(L, Lz)
     mu = (Q.sdim - core.center(Q).sdim).to_superdim()
     return lam, mu
+
+
+def central_z2_samples(L, rng):
+    """Homogeneous representatives of Z₂(L) outside Z(L)."""
+    Z = core.center(L)
+    Z2 = core.second_center(L)
+    out = []
+    for rows in (Z2.even_rows, Z2.odd_rows):
+        rows = [r for r in rows if not Z.contains(r)]
+        out.extend(rows)
+        for _ in range(_Z2_MIXES):
+            if len(rows) >= 2:
+                a, b = rng.sample(rows, 2)
+                c = Fraction(rng.randint(1, 3))
+                v = tuple(x + c * y for x, y in zip(a, b))
+                if not Z.contains(v):
+                    out.append(v)
+    return out
 
 
 def bracket(self, x, y):

@@ -1,5 +1,5 @@
-"""The per-algebra invariant cache, the views read from it, and the
-quotient-free μ of ``lambda_mu``.
+"""The per-algebra invariant cache, the views read from it, and Lemma 4.1's
+λ and μ, read from one Z₂-action table per algebra.
 
 Each structural invariant is computed at most once per algebra and kept in
 the algebra's instance dict as plain rows, ints and the central quotient
@@ -9,10 +9,13 @@ computed once, and that the cache forms no reference cycle, so an algebra is
 freed by reference counting alone.  ``fingerprint``, ``check_bounds`` and the
 ``verify-paper`` ledger read ``report`` and the cached L/Z(L) instead of
 recomputing them; ``direct_sum`` is checked against its earlier index-map
-form.
+form.  ``lambda_mu`` and the ledger's samples of Z₂ \\ Z are checked against
+their quotient-based and echelon-based references, also on conjugates whose
+Z₂ rows are not unit vectors.
 """
 
 import gc
+import random
 import weakref
 
 from hypothesis import given
@@ -22,19 +25,26 @@ from base_change import SO3, base_changed
 import reference_core as reference
 from superlie import cohomology, core, invariants, verification
 from superlie.classify import TableReport, classify_mr_le2, fingerprint
-from superlie.cohomology import multiplier
-from superlie.constructions import abelian, heisenberg_even, heisenberg_odd, model_l4
+from superlie.cohomology import cover_candidate, multiplier
+from superlie.constructions import (
+    abelian,
+    free_two_step_cover,
+    heisenberg_even,
+    heisenberg_odd,
+    model_l4,
+)
 from superlie.core import (
     LieSuperalgebra,
     Subspace,
     center,
+    change_basis,
     derived_subalgebra,
     direct_sum,
     is_nilpotent,
     second_center,
 )
 from superlie.corpus import corpus
-from superlie.errors import NotInSecondCenterMinusCenter
+from superlie.errors import NotInSecondCenterMinusCenter, SuperlieError
 from superlie.invariants import check_bounds, lambda_mu, report
 
 MODELS = [abelian(2, 1), heisenberg_even(2, 1), heisenberg_even(0, 2), heisenberg_odd(2),
@@ -138,7 +148,7 @@ def test_no_reference_cycle():
         classify_mr_le2(L)
         lambda_mu(L, z)
         assert {"_center", "_derived", "_second_center", "_nilpotency", "_sdim_M",
-                "_central_quotient"} <= set(vars(L))
+                "_central_quotient", "_z2_action"} <= set(vars(L))
         ref = weakref.ref(L)
         del L
         assert ref() is None
@@ -175,6 +185,117 @@ def test_mu_domain_errors_match_reference():
         for fn in (lambda_mu, reference.lambda_mu):
             with pytest.raises(NotInSecondCenterMinusCenter):
                 fn(L, z)
+
+
+def _unitriangular(L, seed):
+    """L conjugated by a dense upper unitriangular parity-preserving matrix."""
+    rng = random.Random(seed)
+    p, d = L.parities, L.dim
+    P = [[1 if i == j else rng.choice((-2, -1, 1, 2)) if i < j and p[i] == p[j] else 0
+          for j in range(d)] for i in range(d)]
+    return change_basis(L, P)
+
+
+# Z₂ of a class-2 algebra is L, whose canonical rows are the unit vectors; the
+# conjugates of L4 and of the class-3 cover of H(1,0) have non-unit Z₂ rows
+CONJUGATES = [_unitriangular(L, seed) for seed in range(2) for L in (
+    model_l4(), cover_candidate(heisenberg_even(1, 0)).algebra, heisenberg_even(2, 2),
+    free_two_step_cover(3, 2).K)]
+
+
+def _raised(fn, L, z):
+    try:
+        fn(L, z)
+    except SuperlieError as exc:
+        return type(exc)
+    return None
+
+
+def _check_lambda_mu_matches_reference(L, seed=0):
+    """lambda_mu against the reference on Z₂'s rows outside Z and on mixtures
+    of two of them, and the reference's exception type on an element of Z,
+    one outside Z₂, a non-homogeneous one and one of the wrong length."""
+    rng = random.Random(seed)
+    Z, Z2 = center(L), second_center(L)
+    for rows in (Z2.even_rows, Z2.odd_rows):
+        rows = [r for r in rows if not Z.contains(r)]
+        mixes = []
+        for _ in range(3 if len(rows) >= 2 else 0):
+            (a, b), c = rng.sample(rows, 2), rng.choice((-3, -1, 2, 3))
+            mixes.append(tuple(x + c * y for x, y in zip(a, b)))
+        for z in rows + mixes:
+            if Z.contains(z):
+                assert _raised(lambda_mu, L, z) is NotInSecondCenterMinusCenter
+            else:
+                assert lambda_mu(L, z) == reference.lambda_mu(L, z), (L.name, z)
+    outside = [e for e in map(L.basis_vector, range(L.dim)) if not Z2.contains(e)]
+    # both parities, or zero where L has one parity only
+    mixed = tuple(x + y if L.n_even and L.n_odd else 0
+                  for x, y in zip(L.basis_vector(0), L.basis_vector(L.dim - 1)))
+    bad = Z.rows[:1] + tuple(outside[:1]) + (mixed, L.basis_vector(0) + (0,))
+    for z in bad:
+        assert _raised(lambda_mu, L, z) is _raised(reference.lambda_mu, L, z) is not None
+
+
+def test_conjugates_have_non_unit_z2_rows():
+    assert any(len(r) > 1 for L in CONJUGATES
+               for r in second_center(L).even + second_center(L).odd)
+
+
+@pytest.mark.parametrize("L", CONJUGATES, ids=lambda L: f"{L.name}.d{L.dim}")
+def test_lambda_mu_on_conjugates_matches_reference(L):
+    _check_lambda_mu_matches_reference(L)
+
+
+@given(base_changed(corpus(0, 60)))
+def test_lambda_mu_after_base_change_matches_reference(L):
+    _check_lambda_mu_matches_reference(L)
+
+
+def test_z2_samples_match_reference():
+    """The ledger's samples, read from the action table, equal those of the
+    former membership tests, and the draws leave rng in the same state."""
+    for seed in range(4):
+        rng, ref_rng = random.Random(seed + 1), random.Random(seed + 1)
+        for L in corpus(seed, 100):
+            samples = verification._central_z2_samples(L, rng)
+            assert samples == reference.central_z2_samples(L, ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
+
+
+def test_lemma_4_1_reads_one_table_per_algebra(monkeypatch):
+    """Lemma 4.1 builds each algebra's Z₂-action table once, while it draws
+    the samples, and then solves no ad-map kernel, builds no quotient and
+    brackets no subspaces for any z; drawing costs at most the second
+    center's one kernel."""
+    calls = dict.fromkeys(("_ad_kernel", "quotient", "bracket_subspaces"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(core, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(core, name, counting)
+
+    def counted(fn, log):
+        def wrapper(L, *args):
+            before = dict(calls)
+            out = fn(L, *args)
+            log.append({k: calls[k] - before[k] for k in calls})
+            return out
+        return wrapper
+
+    built, drawn, solved = [], [], []
+    build = invariants._z2_action_table
+    monkeypatch.setattr(invariants, "_z2_action_table", lambda L: built.append(L) or build(L))
+    monkeypatch.setattr(verification, "_central_z2_samples",
+                        counted(verification._central_z2_samples, drawn))
+    monkeypatch.setattr(verification, "lambda_mu", counted(lambda_mu, solved))
+    results = verification.run_paper_checks(0, 100)
+    assert results["Lemma 4.1"].passed
+    assert len(drawn) == 100 and len(solved) > 150
+    assert all(c == {"_ad_kernel": 0, "quotient": 0, "bracket_subspaces": 0} for c in solved)
+    assert all(c["_ad_kernel"] <= 1 and c["quotient"] == c["bracket_subspaces"] == 0
+               for c in drawn)
+    assert len({id(L) for L in built}) == len(built) <= 100
 
 
 def _derived_in_center(L):
