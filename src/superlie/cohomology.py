@@ -11,6 +11,15 @@ cover candidates.
 Both parities are solved as one linear system over the free pairs (i, j).
 They use disjoint pairs and every equation and row is homogeneous, so
 elimination never mixes them; a row's parity is its first pair's.
+
+The system is ranked on A, the conjugate adapted to L² (``_adapted``), or on
+L itself when L²'s canonical rows are unit vectors.  In A every bracket lies
+on unit vectors, so its equations are sparse where a dense L's are not, and
+the rank per parity is the same.  ``multiplier_sdim`` reads sdim M off that
+rank; ``multiplier`` carries A's independent rows back to L's pairs
+(``_cocycle_system``).  f -> f∘(P×P) maps Z²(L) onto Z²(A), so the carried
+rows span L's own equations, and reduced echelon form is unique: the Z²
+basis and every representative are the ones L's own system gives.
 """
 
 from __future__ import annotations
@@ -127,11 +136,50 @@ def _cocycle_equations(L: LieSuperalgebra):
             yield row
 
 
+def _adapted_equations(L: LieSuperalgebra) -> linalg.Echelon:
+    """The echelon of the cocycle equations of A = ``_adapted(L) or L``:
+    sparse where L's own are dense, and of the same rank per parity."""
+    return linalg.Echelon(_cocycle_equations(_adapted(L) or L))
+
+
+def _cocycle_system(L: LieSuperalgebra) -> linalg.Echelon:
+    """The echelon of L's cocycle equations, from ``_adapted_equations``.
+    When A is not L, each of A's independent rows
+    sum_(a,b) c_ab g(b_a, b_b) = 0, b the basis of ``_adapted_basis``, is
+    carried back to L's pairs as sum_(a,b) c_ab sum_(i,j) b_a[i] b_b[j]
+    f(e_i, e_j) = 0, each f(e_i, e_j) oriented by ``_orient``, in integers
+    scaled by the lcm of the d_a d_b it meets.  The module docstring says
+    why the result is the echelon of L's own equations."""
+    ech = _adapted_equations(L)
+    basis = _adapted_basis(L)
+    if basis is None:
+        return ech
+    p = L.parities
+    col = [basis.get(i) or ({i: 1}, 1) for i in range(L.dim)]
+
+    def carried(w):
+        m = linalg._lcm(col[a][1] * col[b][1] for a, b in w)
+        row: dict[tuple[int, int], int] = {}
+        for (a, b), c in w.items():
+            (ra, da), (rb, db) = col[a], col[b]
+            c *= m // (da * db)
+            for i, x in ra.items():
+                cx = c * x
+                for j, y in rb.items():
+                    if o := _orient(p, i, j):
+                        key, s = o
+                        v = cx * y if s == 1 else -cx * y
+                        row[key] = row[key] + v if key in row else v
+        return row
+
+    return linalg.Echelon(carried(w) for w in ech.integer_rows())
+
+
 def _cocycle_basis(L: LieSuperalgebra) -> list[linalg.Row]:
     """Canonical echelon basis of the cocycles of both parities, as sparse
     rows by pivot.  Elimination only combines rows that share a pair, so the
     rows of one parity are that parity's canonical basis."""
-    return linalg.Echelon(_cocycle_equations(L)).kernel(_free_pairs(L.parities)).rows()
+    return _cocycle_system(L).kernel(_free_pairs(L.parities)).rows()
 
 
 def cocycle_space(L: LieSuperalgebra, parity: int) -> list[Cochain2]:
@@ -168,7 +216,12 @@ class MultiplierResult:
 def multiplier(L: LieSuperalgebra) -> MultiplierResult:
     """Multiplier superdimension as cocycles-modulo-coboundaries, with
     canonical class representatives: each parity's residuals in pivot order,
-    even first."""
+    even first.
+
+    Z² is solved in L's pairs from ``_cocycle_system``: the cocycle equations
+    are ranked on the conjugate adapted to L² and only the independent ones
+    are carried back, which gives exactly the echelon of L's own equations,
+    so the basis and the representatives do not depend on the route."""
     p = L.parities
     # B² plus the representatives so far, in one growing echelon
     acc = linalg.Echelon()
@@ -190,32 +243,40 @@ def multiplier(L: LieSuperalgebra) -> MultiplierResult:
     )
 
 
-def _adapted(L: LieSuperalgebra) -> LieSuperalgebra | None:
-    """L's conjugate in a basis adapted to L², or None when every canonical
-    row of L² is a unit vector; built at most once per algebra and kept on L.
+def _adapted_basis(L: LieSuperalgebra) -> dict[int, tuple[dict[int, int], int]] | None:
+    """The basis adapted to L², as {p: (R_p, d_p)}: at each pivot p of L²,
+    its canonical row r_p = R_p / d_p, R_p integer and d_p its denominator;
+    e_i at every other index.  None when every canonical row of L² is a unit
+    vector, so that L is already adapted; a table whose vectors each have one
+    entry has unit rows, so it needs no echelon."""
+    if all(len(vec) == 1 for _, vec in L.constants):
+        return None
+    L2 = derived_subalgebra(L)
+    rows = L2.even + L2.odd
+    if all(len(r) == 1 for r in rows):
+        return None
+    basis = {}
+    for r in rows:
+        d = linalg._lcm(c.denominator for _, c in r)
+        basis[r[0][0]] = {k: c.numerator * (d // c.denominator) for k, c in r}, d
+    return basis
 
-    The basis vector at each pivot p of L² is L²'s canonical row r_p, the
-    others stay e_i.  Every bracket lies in L², and the rows are reduced, so
-    its coordinate on r_p is its entry at p: the conjugate's constants are
-    those entries, with no inverse to apply.  They are summed in integers
-    over the table D·c of ``_int_table`` and each r_p scaled to integers over
-    its denominator, and only the pivot entries are read.  A table whose
-    vectors each have one entry has unit rows, so it needs no echelon."""
+
+def _adapted(L: LieSuperalgebra) -> LieSuperalgebra | None:
+    """L's conjugate in the basis of ``_adapted_basis``, or None when that is
+    L's own; built at most once per algebra and kept on L.
+
+    Every bracket lies in L², and the rows are reduced, so its coordinate on
+    r_p is its entry at p: the conjugate's constants are those entries, with
+    no inverse to apply.  They are summed in integers over the table D·c of
+    ``_int_table`` and each R_p, and only the pivot entries are read."""
     def build():
-        if all(len(vec) == 1 for _, vec in L.constants):
-            return None
-        L2 = derived_subalgebra(L)
-        rows = L2.even + L2.odd
-        if all(len(r) == 1 for r in rows):
+        basis = _adapted_basis(L)
+        if basis is None:
             return None
         D, table = _int_table(L)
-        pivots = {r[0][0] for r in rows}
-        at = {key: {p: x for p, x in vec.items() if p in pivots} for key, vec in table.items()}
-        # the new basis vectors as (R, d), integer R over d: e_i, or r_p = R_p / d_p
-        cols = [({i: 1}, 1) for i in range(L.dim)]
-        for r in rows:
-            d = linalg._lcm(c.denominator for _, c in r)
-            cols[r[0][0]] = {k: c.numerator * (d // c.denominator) for k, c in r}, d
+        at = {key: {p: x for p, x in vec.items() if p in basis} for key, vec in table.items()}
+        cols = [basis.get(i) or ({i: 1}, 1) for i in range(L.dim)]
         consts = {}
         for a, b in _free_pairs(L.parities):
             (ra, da), (rb, db), v = cols[a], cols[b], {}
@@ -237,17 +298,15 @@ def multiplier_sdim(L: LieSuperalgebra) -> SuperDim:
     annihilator of L², so sdim B² = sdim L² parity by parity, and
     sdim M_π = |C²_π| - rank_π(cocycle equations) - sdim L²_π.  Ranks do not
     change under a parity-preserving base change, so the equations are
-    ranked on the conjugate adapted to L² that ``_adapted`` keeps on L (the
-    Jacobi check has often built it), where they are sparse, or on L itself
-    when L² has unit canonical rows."""
+    ranked by ``_adapted_equations``, on the conjugate adapted to L² that
+    ``_adapted`` keeps on L (the Jacobi check has often built it), where they
+    are sparse, or on L itself when L² has unit canonical rows.  A row's
+    parity is its pivot's."""
     L2 = derived_subalgebra(L)
-    A = _adapted(L) or L
     ne, no = L.n_even, L.n_odd
     count = [ne * (ne - 1) // 2 + no * (no + 1) // 2 - L2.sdim.even, ne * no - L2.sdim.odd]
-    ech = linalg.Echelon()
-    for row in _cocycle_equations(A):
-        if ech.insert(row):
-            count[_parity(L.parities, next(iter(row)))] -= 1
+    for pair in _adapted_equations(L).pivots():
+        count[_parity(L.parities, pair)] -= 1
     return SuperDim(*count)
 
 

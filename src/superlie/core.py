@@ -153,9 +153,10 @@ class LieSuperalgebra:
         # zero with everything: L² is central, each [[x, y], z] vanishes and
         # the identity holds.  (2) If L² has a non-unit canonical row, the
         # identity, being trilinear, holds iff it holds on the conjugate
-        # adapted to L² (``cohomology._adapted``, kept for the sdim M count),
-        # whose L² has unit rows, so its check ends in (1) or (3); on failure
-        # (3) still reports L's own first failing triple.  (3) Walk the
+        # adapted to L² (``cohomology._adapted``, kept for the cocycle
+        # system of the sdim M count and ``multiplier``), whose L² has unit
+        # rows, so its check ends in (1) or (3); on failure (3) still
+        # reports L's own first failing triple.  (3) Walk the
         # sorted triples i <= j <= k, enough by graded skew-symmetry, of
         # active indices only, as a nonzero term needs all three.  The
         # identity is homogeneous of degree 2 in the constants, so it is

@@ -199,6 +199,15 @@ class Echelon:
                         else {p: _ONE})
         return rows
 
+    def pivots(self) -> list[Hashable]:
+        """The pivot columns, in column order."""
+        return sorted(self._tails)
+
+    def integer_rows(self) -> list[dict[Hashable, int]]:
+        """The canonical basis scaled to primitive integer rows, by pivot
+        column: d_p at the pivot p and T_p after it, with no Fraction."""
+        return [{p: self._dens[p], **self._tails[p]} for p in sorted(self._tails)]
+
     def dense(self, ncols: int) -> list[Vec]:
         """The canonical basis as dense rows of length ncols."""
         return [_dense(r, ncols) for r in self.rows()]

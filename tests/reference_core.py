@@ -42,7 +42,10 @@ former ``_cocycle_equations``, ``check_independent`` the loop, taking L and
 the chosen cochains, and ``cocycle_basis`` takes its columns from the
 ``cochain_pairs`` here).  ``free_two_step_cover`` is the hand-built layout of
 ``superlie.constructions`` from before it became the relabelled cover
-candidate of Ab(m,n); its ``quotient`` is the one here.  Nothing outside the
+candidate of Ab(m,n); its ``quotient`` is the one here.
+``own_cocycle_basis`` is the one-system ``cohomology._cocycle_basis`` from
+before the system was solved on the conjugate adapted to L² and carried
+back: it solves L's own cocycle equations in L's basis.  Nothing outside the
 tests imports this module.
 """
 
@@ -54,7 +57,7 @@ from types import SimpleNamespace
 import reference_linalg
 from superlie import core
 from superlie import linalg as _linalg
-from superlie.cohomology import Cochain2, MultiplierResult
+from superlie.cohomology import Cochain2, MultiplierResult, _cocycle_equations
 from superlie.core import (
     DefiningPair,
     LieSuperalgebra,
@@ -503,6 +506,13 @@ def multiplier(L: LieSuperalgebra) -> MultiplierResult:
         sdim_M=SuperDim(z_dims[0] - b_dims[0], z_dims[1] - b_dims[1]),
         cocycle_basis=tuple(reps),
     )
+
+
+def own_cocycle_basis(L: LieSuperalgebra) -> list[linalg.Row]:
+    """Canonical echelon basis of the cocycles of both parities, as sparse
+    rows by pivot.  Elimination only combines rows that share a pair, so the
+    rows of one parity are that parity's canonical basis."""
+    return linalg.Echelon(_cocycle_equations(L)).kernel(_free_pairs(L.parities)).rows()
 
 
 def check_independent(L: LieSuperalgebra, chosen) -> None:

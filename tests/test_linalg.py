@@ -269,6 +269,19 @@ def test_stored_rows_are_primitive_and_canonical(m, data):
     assert ech.contains(linalg.sparse(v)) == (not resid)
 
 
+@given(st.one_of(matrices(), wide_matrices()))
+def test_integer_rows_are_the_canonical_rows_scaled(m):
+    """Each integer row is a positive multiple of the canonical row with the
+    same pivot, primitive, and made of ints."""
+    rows, _ = m
+    ech = linalg.Echelon(linalg.sparse(v) for v in rows)
+    ints = ech.integer_rows()
+    assert ech.pivots() == [next(iter(r)) for r in ech.rows()] == [next(iter(w)) for w in ints]
+    for w, r in zip(ints, ech.rows()):
+        assert all(type(x) is int for x in w.values()) and math.gcd(*w.values()) == 1
+        assert w[next(iter(w))] > 0 and {c: F(x, w[next(iter(w))]) for c, x in w.items()} == r
+
+
 @given(wide_matrices(), st.data())
 def test_wide_denominators_match_reference(m, data):
     rows, ncols = m
