@@ -7,7 +7,6 @@ from .core import (
     Subspace,
     bracket_subspaces,
     center,
-    centralizer,
     change_basis,
     derived_subalgebra,
     direct_sum,
@@ -50,7 +49,6 @@ from .classify import (
     TableEntry,
     classify_mr_le2,
     fingerprint,
-    recognize_heisenberg,
     verify_theorem_table,
 )
 from .fileformat import emit, parse

@@ -81,29 +81,6 @@ def _model(label: str) -> LieSuperalgebra:
     return _models()[label]
 
 
-def recognize_heisenberg(L: LieSuperalgebra):
-    """('even', p, q), ('odd', k) or None.
-
-    Recognition is by the defining property L² = Z(L) with one-dimensional
-    homogeneous center, which pins the family and parameters via sdim L.
-    """
-    L2 = core.derived_subalgebra(L)
-    Z = core.center(L)
-    if L2 != Z:
-        return None
-    if Z.sdim == SuperDim(1, 0):
-        e, o = L.sdim.even, L.sdim.odd
-        if e % 2 == 1:
-            return ("even", (e - 1) // 2, o)
-        return None
-    if Z.sdim == SuperDim(0, 1):
-        e, o = L.sdim.even, L.sdim.odd
-        if o == e + 1 and e >= 1:
-            return ("odd", e)
-        return None
-    return None
-
-
 def classify_mr_le2(L: LieSuperalgebra):
     """The ``TABLE`` row a nilpotent algebra of multiplier-rank <= 2 matches,
     or a NotCovered outcome.  A rank <= 2 algebra missing every table fingerprint

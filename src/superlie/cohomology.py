@@ -82,7 +82,10 @@ class Cochain2:
 
     def __call__(self, i: int, j: int) -> Fraction:
         """f(e_i, e_j) for any index order, via graded alternation."""
-        key, s = _orient(self.parent.parities, i, j) or (None, 0)
+        p = self.parent.parities
+        if not (0 <= i < len(p) and 0 <= j < len(p)):
+            raise InvalidParams(f"basis indices {(i, j)} outside range({len(p)})")
+        key, s = _orient(p, i, j) or (None, 0)
         return s * dict(self.values).get(key, Fraction(0))
 
     def as_vector(self, pairs=None) -> Vec:

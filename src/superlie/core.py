@@ -217,6 +217,8 @@ class LieSuperalgebra:
         return self._table.get((i, j), {})
 
     def basis_vector(self, i: int) -> Vec:
+        if not 0 <= i < self.dim:
+            raise InvalidParams(f"basis index {i} outside range({self.dim})")
         return linalg.unit_vec(self.dim, i)
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
@@ -444,48 +446,39 @@ def derived_subalgebra(L: LieSuperalgebra) -> Subspace:
         L, (dict(vec) for _, vec in L.constants)))
 
 
-def _ad_kernel(L: LieSuperalgebra, brackets, modulo: Subspace) -> Subspace:
-    """{x : [x, t] in modulo for every target t}, for homogeneous targets
-    and a homogeneous ``modulo``.  ``brackets`` maps (i, t) to the nonzero
-    [e_i, t]; the stored table ``L._table`` is that map for the targets e_t.
+def _ad_kernel(L: LieSuperalgebra, modulo: Subspace) -> Subspace:
+    """{x : [x, e_t] in modulo for every basis vector e_t}, for a
+    homogeneous ``modulo``.  The equations are read from the stored table
+    ``L._table``, which maps (i, t) to the nonzero [e_i, e_t].
 
-    The residual of [x, t] modulo ``modulo`` is linear in x, so each
-    (target, coordinate k) of it is one sparse equation over x's coordinates
-    on L's basis.  [e_i, t] has parity |e_i| + |t|, and reducing it modulo a
-    homogeneous subspace keeps that parity, so the e_i in one equation all
-    have parity |e_k| + |t|.  Each echelon row, and so each kernel vector,
-    then has coordinates of one parity only: the kernel basis is
-    homogeneous.
+    The residual of [x, e_t] modulo ``modulo`` is linear in x, so each
+    (t, coordinate k) of it is one sparse equation over x's coordinates
+    on L's basis.  [e_i, e_t] has parity |e_i| + |e_t|, and reducing it
+    modulo a homogeneous subspace keeps that parity, so the e_i in one
+    equation all have parity |e_k| + |e_t|.  Each echelon row, and so each
+    kernel vector, then has coordinates of one parity only: the kernel
+    basis is homogeneous.
     """
     ech = modulo._echelon
     eqs: dict[tuple[int, int], linalg.Row] = {}
-    for (i, t), row in brackets.items():
+    for (i, t), row in L._table.items():
         for k, x in ech.reduce(row).items():
             eqs.setdefault((t, k), {})[i] = x
     kernel = linalg.Echelon(eqs.values()).kernel_basis(range(L.dim))
     # The kernel basis is not canonical yet; its rref is.  This is the library's
     # one linalg.rref call, which bench/test_bench.py requires until the bench
-    # traces Echelon itself (ROADMAP, "The benchmark watches today's kernel").
+    # traces Echelon itself (ROADMAP, "The benchmark sees today's kernel").
     rows = linalg.rref([linalg._dense(v, L.dim) for v in kernel])
     return Subspace._canonical(L, [tuple(linalg.sparse(r).items()) for r in rows])
 
 
 def center(L: LieSuperalgebra) -> Subspace:
-    return _cached_subspace(L, "_center", lambda: _ad_kernel(L, L._table, Subspace.zero(L)))
-
-
-def centralizer(L: LieSuperalgebra, z: Vec) -> Subspace:
-    """Kernel of x -> [x, z] for a nonzero homogeneous z."""
-    if L.vector_parity(z) is None:
-        raise NonHomogeneous("centralizer requires a nonzero homogeneous element")
-    zs = _row(L, z)
-    brackets = {(i, 0): _bracket(L, {i: 1}, zs) for i in range(L.dim)}
-    return _ad_kernel(L, brackets, Subspace.zero(L))
+    return _cached_subspace(L, "_center", lambda: _ad_kernel(L, Subspace.zero(L)))
 
 
 def second_center(L: LieSuperalgebra) -> Subspace:
     """Preimage in L of the center of L/Z(L): {x : [x, L] inside Z(L)}."""
-    return _cached_subspace(L, "_second_center", lambda: _ad_kernel(L, L._table, center(L)))
+    return _cached_subspace(L, "_second_center", lambda: _ad_kernel(L, center(L)))
 
 
 def lower_central_series(L: LieSuperalgebra) -> list[Subspace]:

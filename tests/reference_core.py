@@ -377,7 +377,7 @@ def ad_kernel(L: LieSuperalgebra, targets: list[linalg.Row], modulo: Subspace) -
     # The kernel basis is not canonical yet; its rref is, with the even rows
     # first.  Echelon(kernel).dense would do, but this stays the library's one
     # linalg.rref call: bench/test_bench.py requires a traced rref call, until
-    # the benchmark traces Echelon itself (ROADMAP, "The benchmark watches
+    # the benchmark traces Echelon itself (ROADMAP, "The benchmark sees
     # today's kernel").
     rows = linalg.rref([linalg._dense(v, L.dim) for v in kernel])
     even = tuple(r for r in rows if any(r[:L.n_even]))

@@ -13,7 +13,6 @@ from superlie.constructions import (
     model_registry,
 )
 from superlie.core import center, derived_subalgebra
-from superlie.classify import recognize_heisenberg
 from superlie.errors import InvalidParams, UnknownName
 from superlie.fileformat import emit
 from superlie.superdim import SuperDim, ZERO, bound
@@ -53,18 +52,6 @@ def test_model_l4():
     L = model_l4()
     assert L.sdim == SuperDim(4, 0)
     assert core.is_nilpotent(L) == (True, 3)
-
-
-def test_recognize_heisenberg_grid():
-    for p in range(3):
-        for q in range(3):
-            if p + q < 1:
-                continue
-            assert recognize_heisenberg(heisenberg_even(p, q)) == ("even", p, q)
-    for k in range(1, 4):
-        assert recognize_heisenberg(heisenberg_odd(k)) == ("odd", k)
-    assert recognize_heisenberg(abelian(2, 1)) is None
-    assert recognize_heisenberg(model_l4()) is None
 
 
 def test_free_two_step_cover_properties():

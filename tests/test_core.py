@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 import pytest
 
 from superlie import core
+from superlie.cohomology import Cochain2
 from superlie.constructions import (
     abelian,
     heisenberg_even,
@@ -16,7 +17,6 @@ from superlie.core import (
     Subspace,
     bracket_subspaces,
     center,
-    centralizer,
     change_basis,
     derived_subalgebra,
     direct_sum,
@@ -30,7 +30,6 @@ from superlie.errors import (
     GradingError,
     InvalidParams,
     JacobiError,
-    NonHomogeneous,
     NotAnIdeal,
     ParentMismatch,
     ParityMixing,
@@ -231,12 +230,26 @@ def test_span_and_contains_reject_wrong_length(v):
 
 
 @pytest.mark.parametrize("v", WRONG_LENGTH)
-def test_centralizer_and_lambda_mu_reject_wrong_length(v):
-    L = heisenberg_even(1, 0)
+def test_lambda_mu_rejects_wrong_length(v):
     with pytest.raises(InvalidParams):
-        centralizer(L, v)
+        lambda_mu(heisenberg_even(1, 0), v)
+
+
+@pytest.mark.parametrize("call", [
+    lambda L, f: L.basis_vector(-1),
+    lambda L, f: L.basis_vector(L.dim),
+    lambda L, f: L.basis_vector(7),
+    lambda L, f: f(9, 0),
+    lambda L, f: f(0, 9),
+    lambda L, f: f(-1, 0),
+    lambda L, f: f(0, L.dim),
+], ids=["e(-1)", "e(dim)", "e(7)", "f(9,0)", "f(0,9)", "f(-1,0)", "f(0,dim)"])
+def test_basis_index_outside_the_basis_is_rejected(call):
+    L = heisenberg_even(1, 1)
+    f = Cochain2(L, 0, (((0, 1), F(1)),))
+    assert L.basis_vector(L.dim - 1)[-1] == 1 and f(1, 0) == -1 and f(0, L.dim - 1) == 0
     with pytest.raises(InvalidParams):
-        lambda_mu(L, v)
+        call(L, f)
 
 
 # -- subspaces ----------------------------------------------------------------
@@ -310,26 +323,6 @@ def test_center_examples():
     assert center(heisenberg_odd(2)).sdim == SuperDim(0, 1)
     assert center(model_l4()).sdim == SuperDim(1, 0)
     assert center(so3()).sdim == ZERO
-
-
-def test_centralizer_examples():
-    L = heisenberg_even(1, 0)
-    C = centralizer(L, L.basis_vector(0))
-    assert C.sdim == SuperDim(2, 0)
-    assert C.contains(L.basis_vector(0)) and C.contains(L.basis_vector(2))
-    with pytest.raises(NonHomogeneous):
-        centralizer(heisenberg_even(1, 1), (F(1), F(0), F(0), F(1)))
-
-
-def test_centralizer_pi_relation():
-    """sdim [L,z] equals sdim L/Z_L(z), Π-swapped when z is odd."""
-    L = heisenberg_odd(1)
-    w = L.basis_vector(2)
-    C = centralizer(L, w)
-    assert C.sdim == SuperDim(0, 2)
-    img = Subspace.span(L, [L.bracket(L.basis_vector(i), w) for i in range(L.dim)])
-    assert img.sdim == SuperDim(0, 1)
-    assert img.sdim == (L.sdim - C.sdim).to_superdim().pi_swap()
 
 
 def test_second_center_examples():

@@ -104,10 +104,10 @@ def test_each_invariant_is_computed_once(monkeypatch, L):
     kernels, counted, multipliers = [], [], []
     ad_kernel, count, mult = core._ad_kernel, invariants.multiplier_sdim, cohomology.multiplier
 
-    def counting_ad_kernel(A, brackets, modulo):
+    def counting_ad_kernel(A, modulo):
         if A is L:
             kernels.append(modulo)
-        return ad_kernel(A, brackets, modulo)
+        return ad_kernel(A, modulo)
 
     def counting_count(A):
         counted.append(A)
