@@ -12,11 +12,12 @@ Both parities are solved as one linear system over the free pairs (i, j).
 They use disjoint pairs and every equation and row is homogeneous, so
 elimination never mixes them; a row's parity is its first pair's.
 
-The system is ranked on A, the conjugate adapted to L² (``_adapted``), or on
-L itself when L²'s canonical rows are unit vectors.  In A every bracket lies
-on unit vectors, so its equations are sparse where a dense L's are not, and
-the rank per parity is the same.  ``multiplier_sdim`` reads sdim M off that
-rank; ``multiplier`` carries A's independent rows back to L's pairs
+The system is ranked on A, the conjugate adapted to L² (``_adapted``, read
+off ``linalg._transport`` as ``core.change_basis`` is), or on L itself when
+L²'s canonical rows are unit vectors.  In A every bracket lies on unit
+vectors, so its equations are sparse where a dense L's are not, and the rank
+per parity is the same.  ``multiplier_sdim`` reads sdim M off that rank;
+``multiplier`` carries A's independent rows back to L's pairs
 (``_cocycle_system``).  f -> f∘(P×P) maps Z²(L) onto Z²(A), so the carried
 rows span L's own equations, and reduced echelon form is unique: the Z²
 basis and every representative are the ones L's own system gives.
@@ -267,28 +268,17 @@ def _adapted_basis(L: LieSuperalgebra) -> dict[int, tuple[dict[int, int], int]] 
 
 def _adapted(L: LieSuperalgebra) -> LieSuperalgebra | None:
     """L's conjugate in the basis of ``_adapted_basis``, or None when that is
-    L's own; built at most once per algebra and kept on L.
-
-    Every bracket lies in L², and the rows are reduced, so its coordinate on
-    r_p is its entry at p: the conjugate's constants are those entries, with
-    no inverse to apply.  They are summed in integers over the table D·c of
-    ``_int_table`` and each R_p, and only the pivot entries are read."""
+    L's own; built at most once per algebra and kept on L.  Every bracket
+    lies in L², whose rows are reduced, so its coordinate on r_p is its entry
+    at p: ``linalg._transport`` reads the pivot entries alone, in integers,
+    with no inverse to apply."""
     def build():
         basis = _adapted_basis(L)
         if basis is None:
             return None
-        D, table = _int_table(L)
-        at = {key: {p: x for p, x in vec.items() if p in basis} for key, vec in table.items()}
         cols = [basis.get(i) or ({i: 1}, 1) for i in range(L.dim)]
-        consts = {}
-        for a, b in _free_pairs(L.parities):
-            (ra, da), (rb, db), v = cols[a], cols[b], {}
-            for i, x in ra.items():
-                for j, y in rb.items():
-                    for p, z in at.get((i, j), {}).items():
-                        v[p] = v[p] + x * y * z if p in v else x * y * z
-            if v:
-                consts[a, b] = {p: Fraction(x, D * da * db) for p, x in v.items() if x}
+        consts = linalg._transport(*_int_table(L), _free_pairs(L.parities), cols,
+                                   {p: {p: 1} for p in basis})
         return validate(L.parities, consts, name=L.name, labels=L.labels)
     return _memo(L, "_adapted", build)
 

@@ -154,10 +154,10 @@ class LieSuperalgebra:
         # the identity holds.  (2) If L² has a non-unit canonical row, the
         # identity, being trilinear, holds iff it holds on the conjugate
         # adapted to L² (``cohomology._adapted``, kept for the cocycle
-        # system of the sdim M count and ``multiplier``), whose L² has unit
-        # rows, so its check ends in (1) or (3); on failure (3) still
-        # reports L's own first failing triple.  (3) Walk the
-        # sorted triples i <= j <= k, enough by graded skew-symmetry, of
+        # system, and built by ``linalg._transport`` as ``change_basis``
+        # is), whose L² has unit rows, so its check ends in (1) or (3); on
+        # failure (3) still reports L's own first failing triple.  (3) Walk
+        # the sorted triples i <= j <= k, enough by graded skew-symmetry, of
         # active indices only, as a nonzero term needs all three.  The
         # identity is homogeneous of degree 2 in the constants, so it is
         # summed in integers on the table D·c of ``_int_table``, and a
@@ -214,6 +214,8 @@ class LieSuperalgebra:
 
     def basis_bracket(self, i: int, j: int) -> dict[int, Fraction]:
         """[e_i, e_j] as a shared (read-only) sparse dict, any index order."""
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise InvalidParams(f"basis indices {(i, j)} outside range({self.dim})")
         return self._table.get((i, j), {})
 
     def basis_vector(self, i: int) -> Vec:
@@ -401,7 +403,7 @@ def _bracket(L: LieSuperalgebra, x: linalg.Row, y: linalg.Row) -> linalg.Row:
     for i, a in x.items():
         for j, b in y.items():
             ab = a * b
-            for k, c in L.basis_bracket(i, j).items():
+            for k, c in L._table.get((i, j), {}).items():
                 out[k] = out.get(k, 0) + ab * c
     return out
 
@@ -446,25 +448,25 @@ def derived_subalgebra(L: LieSuperalgebra) -> Subspace:
         L, (dict(vec) for _, vec in L.constants)))
 
 
-def _ad_kernel(L: LieSuperalgebra, modulo: Subspace) -> Subspace:
-    """{x : [x, e_t] in modulo for every basis vector e_t}, for a
-    homogeneous ``modulo``.  The equations are read from the stored table
-    ``L._table``, which maps (i, t) to the nonzero [e_i, e_t].
-
-    The residual of [x, e_t] modulo ``modulo`` is linear in x, so each
-    (t, coordinate k) of it is one sparse equation over x's coordinates
-    on L's basis.  [e_i, e_t] has parity |e_i| + |e_t|, and reducing it
-    modulo a homogeneous subspace keeps that parity, so the e_i in one
-    equation all have parity |e_k| + |e_t|.  Each echelon row, and so each
-    kernel vector, then has coordinates of one parity only: the kernel
-    basis is homogeneous.
-    """
-    ech = modulo._echelon
+def _ad_system(terms, modulo: linalg.Echelon) -> linalg.Echelon:
+    """The echelon of the equations on x = Σ x_i b_i that put every [x, e_t]
+    in the span of ``modulo``, from the terms (i, t, [b_i, e_t]): one per
+    coordinate k of each residual.  For homogeneous brackets and ``modulo``
+    the b_i in one have parity |e_k| + |e_t|, so each row, and each kernel
+    vector, has the parity of its pivot."""
     eqs: dict[tuple[int, int], linalg.Row] = {}
-    for (i, t), row in L._table.items():
-        for k, x in ech.reduce(row).items():
+    for i, t, row in terms:
+        for k, x in modulo.reduce(row).items():
             eqs.setdefault((t, k), {})[i] = x
-    kernel = linalg.Echelon(eqs.values()).kernel_basis(range(L.dim))
+    return linalg.Echelon(eqs.values())
+
+
+def _ad_kernel(L: LieSuperalgebra, modulo: Subspace) -> Subspace:
+    """{x : [x, e_t] in modulo for every basis vector e_t}, a homogeneous
+    basis, for a homogeneous ``modulo``: the kernel of ``_ad_system`` on the
+    stored table ``L._table``, which maps (i, t) to the nonzero [e_i, e_t]."""
+    ech = _ad_system(((i, t, row) for (i, t), row in L._table.items()), modulo._echelon)
+    kernel = ech.kernel_basis(range(L.dim))
     # The kernel basis is not canonical yet; its rref is.  This is the library's
     # one linalg.rref call, which bench/test_bench.py requires until the bench
     # traces Echelon itself (ROADMAP, "The benchmark sees today's kernel").
@@ -509,24 +511,19 @@ def quotient(L: LieSuperalgebra, I: Subspace) -> tuple[LieSuperalgebra, LinearMa
 
     The coset basis extends I's echelon basis: it consists of the standard
     basis vectors at the non-pivot columns, which inherit the even-before-odd
-    order from L.
+    order from L.  e_k projects to its residual modulo I, zero at each pivot.
     """
     if not I.contains_subspace(bracket_subspaces(L, Subspace.full(L), I)):
         raise NotAnIdeal("subspace is not an ideal")
     ech = I._echelon
-    rows = I.even + I.odd
-    comp = sorted(set(range(L.dim)) - {r[0][0] for r in rows})  # the non-pivot columns
+    comp = sorted(set(range(L.dim)) - set(ech.pivots()))  # the non-pivot columns
     coset = {c: a for a, c in enumerate(comp)}
     qparities = tuple(L.parities[c] for c in comp)
-
-    def project(v: linalg.Row) -> linalg.Row:
-        return {coset[c]: x for c, x in ech.reduce(v).items()}  # zero at every pivot
-
-    proj_matrix = tuple(zip(*[linalg._dense(project({i: Fraction(1)}), len(comp))
-                              for i in range(L.dim)]))
-    consts = {(a, b): project(L.basis_bracket(comp[a], comp[b])) for a, b in _free_pairs(qparities)}
-    qlabels = tuple(L.labels[c] for c in comp)
-    Q = validate(qparities, consts, name=f"{L.name}/I", labels=qlabels)
+    coords = {k: {coset[c]: x for c, x in ech.reduce({k: 1}).items()} for k in range(L.dim)}
+    proj_matrix = tuple(zip(*[linalg._dense(coords[k], len(comp)) for k in range(L.dim)]))
+    consts = linalg._transport(*_int_table(L), _free_pairs(qparities),
+                               [({c: 1}, 1) for c in comp], coords)
+    Q = validate(qparities, consts, name=f"{L.name}/I", labels=tuple(L.labels[c] for c in comp))
     return Q, LinearMap(proj_matrix)
 
 
@@ -562,23 +559,22 @@ def change_basis(L: LieSuperalgebra, P) -> LieSuperalgebra:
     d = L.dim
     if len(P) != d or any(len(r) != d for r in P):
         raise InvalidParams("base-change matrix has the wrong shape")
-    cols: list[linalg.Row] = [{} for _ in range(d)]
+    q = linalg._lcm(x.denominator for row in P for x in row)
+    cols: list[dict[int, int]] = [{} for _ in range(d)]  # the columns of qP
     aug = [{(1, i): 1} for i in range(d)]  # the rows of [P | I], I's columns labelled (1, k)
     for i, row in enumerate(P):
         for a, x in enumerate(row):
             if x:
                 if L.parities[i] != L.parities[a]:
                     raise ParityMixing(f"entry ({i},{a}) mixes parities")
-                cols[a][i] = aug[i][0, a] = x
+                aug[i][0, a] = x
+                cols[a][i] = x.numerator * (q // x.denominator)
     # P is invertible exactly when canonical row i pivots at (0, i); the row is
     # then e_i followed by row i of P^-1
     rows = linalg.Echelon(aug).rows()
     if any(min(r) != (0, i) for i, r in enumerate(rows)):
         raise SingularMatrix("matrix is singular")
-    inv_cols = [{i: r[1, k] for i, r in enumerate(rows) if (1, k) in r} for k in range(d)]
-    consts: dict[tuple[int, int], linalg.Row] = {key: {} for key in _free_pairs(L.parities)}
-    for (a, b), u in consts.items():  # validate drops the pairs left empty
-        for k, x in _bracket(L, cols[a], cols[b]).items():
-            if x:
-                linalg._axpy(u, x, inv_cols[k])
+    inv_cols = {k: {i: r[1, k] for i, r in enumerate(rows) if (1, k) in r} for k in range(d)}
+    consts = linalg._transport(*_int_table(L), _free_pairs(L.parities),
+                               [(c, q) for c in cols], inv_cols)
     return validate(L.parities, consts, name=L.name, labels=L.labels)

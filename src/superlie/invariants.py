@@ -125,10 +125,9 @@ def lambda_mu(L: LieSuperalgebra, z) -> tuple[SuperDim, SuperDim]:
     when z is central.  The center of L/[L, z] is P/[L, z] for
     P = {x : [x, L] inside [L, z]}, so μ = sdim L - sdim P, and no quotient
     algebra is built.  As z lies in Z₂, [L, z] lies in Z(L), so P lies in
-    Z₂: P is the kernel of c -> (t -> [Σ c_p r_p, e_t] modulo [L, z]).  The
-    coordinate k of that residual is one equation over the c_p, and, as in
-    ``core._ad_kernel``, every r_p in it has parity |e_k| + |e_t|, so per
-    parity sdim P is the number of rows less the rank of their equations.
+    Z₂: P is the kernel of c -> (t -> [Σ c_p r_p, e_t] modulo [L, z]), the
+    system of ``core._ad_system``, whose rows each have one parity, so per
+    parity sdim P is the number of rows less the pivots of that parity.
     """
     z = tuple(Fraction(c) for c in z)
     if L.vector_parity(z) is None:
@@ -144,20 +143,11 @@ def lambda_mu(L: LieSuperalgebra, z) -> tuple[SuperDim, SuperDim]:
         raise NotInSecondCenterMinusCenter(
             "element must lie in the second center but not the center")
     par = L.parities
-    # [L, z] per parity: the parities' columns are disjoint
-    Lz = (linalg.Echelon(), linalg.Echelon())
-    for t, vec in brackets.items():
-        Lz[par[min(vec)]].insert(vec)
-    eqs: dict[tuple[int, int], linalg.Row] = {}
-    for p, _, action in table:
-        for t, vec in action.items():
-            for k, x in Lz[par[p] ^ par[t]].reduce(vec).items():
-                eqs.setdefault((t, k), {})[p] = x
-    rows = [sum(1 for p, *_ in table if par[p] == q) for q in (0, 1)]
-    ranks = [len(linalg.Echelon(eq for (t, k), eq in eqs.items() if par[t] ^ par[k] == q))
-             for q in (0, 1)]
-    lam = SuperDim(len(Lz[0]), len(Lz[1]))
-    return lam, SuperDim(L.n_even - rows[0] + ranks[0], L.n_odd - rows[1] + ranks[1])
+    Lz = linalg.Echelon(brackets.values())  # [L, z]
+    eqs = core._ad_system(((p, t, vec) for p, _, action in table for t, vec in action.items()), Lz)
+    lam, rows, rank = ([sum(par[p] == q for p in ps) for q in (0, 1)]
+                       for ps in (Lz.pivots(), [p for p, *_ in table], eqs.pivots()))
+    return SuperDim(*lam), SuperDim(L.n_even - rows[0] + rank[0], L.n_odd - rows[1] + rank[1])
 
 
 @dataclass(frozen=True, eq=False)

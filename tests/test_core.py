@@ -252,6 +252,14 @@ def test_basis_index_outside_the_basis_is_rejected(call):
         call(L, f)
 
 
+@pytest.mark.parametrize("i, j", [(0, 9), (9, 0), (0, -1), (-1, 3)])
+def test_basis_bracket_rejects_an_index_outside_the_basis(i, j):
+    L = heisenberg_even(1, 1)  # dim 4: [u1, v1] = z, [w1, w1] = z
+    assert L.basis_bracket(1, 0) == {2: -1} and L.basis_bracket(3, 3) == {2: 1}
+    with pytest.raises(InvalidParams):
+        L.basis_bracket(i, j)
+
+
 # -- subspaces ----------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ basis it ranks the cocycle equations in: L itself when L² has unit canonical
 rows, else its conjugate in a basis adapted to L²."""
 
 import random
+from fractions import Fraction as F
 
 from hypothesis import given, settings
 import pytest
@@ -25,6 +26,19 @@ def _unitriangular_conjugate(L, seed=1):
     p, d = L.parities, L.dim
     rng = random.Random(seed)
     P = [[1 if i == j else rng.choice((-2, -1, 1, 2))
+          if i < j and p[i] == p[j] and rng.random() < 0.3 else 0
+          for j in range(d)] for i in range(d)]
+    return change_basis(L, P)
+
+
+def _rational_conjugate(L, seed):
+    """L under an upper triangular parity-preserving P with diagonal entries
+    1/2, 2/3 or 3/2 and entries ±1/2, ±1/3 or ±2/3 at about 30% of the
+    same-parity positions above it: P has non-unit denominators."""
+    p, d = L.parities, L.dim
+    rng = random.Random(seed)
+    P = [[rng.choice((F(1, 2), F(2, 3), F(3, 2))) if i == j
+          else rng.choice((-1, 1)) * rng.choice((F(1, 2), F(1, 3), F(2, 3)))
           if i < j and p[i] == p[j] and rng.random() < 0.3 else 0
           for j in range(d)] for i in range(d)]
     return change_basis(L, P)
@@ -89,7 +103,12 @@ def test_unit_rows_count_on_the_algebra_itself(monkeypatch, L):
     assert _ranked_on(monkeypatch, L) is L
 
 
-@pytest.mark.parametrize("L", NON_UNIT, ids=lambda L: f"{L.name}-{L.dim}")
+# seeded rational conjugates of the corpus whose L² has a non-unit canonical row
+RATIONAL = [C for C in (_rational_conjugate(L, seed) for seed, L in enumerate(corpus(0, 60)))
+            if not _unit_rows(C)]
+
+
+@pytest.mark.parametrize("L", NON_UNIT + RATIONAL, ids=lambda L: f"{L.name}-{L.dim}")
 def test_non_unit_rows_count_on_the_adapted_conjugate(monkeypatch, L):
     """The algebra ranked is ``change_basis(L, P)``, P's column at each pivot
     p of L² the canonical row r_p and e_i elsewhere; every bracket lies on

@@ -20,7 +20,8 @@ from sympy import Matrix, Rational
 from base_change import SO3, base_changed, rational
 import reference_core as reference
 import reference_linalg
-from superlie import core, linalg
+from superlie import cohomology, core, invariants, linalg
+from superlie.cohomology import cover_candidate
 from superlie.constructions import (
     abelian,
     builtin,
@@ -371,3 +372,58 @@ def test_center_makes_the_one_pinned_rref_call(rref_calls):
     H = heisenberg_even(1, 0)
     center(LieSuperalgebra(H.parities, H.constants, H.name, H.labels))
     assert len(rref_calls) == 1
+
+
+def _calls(monkeypatch, module, name):
+    """Patch ``module.name`` to record the arguments of each call in the
+    returned list."""
+    calls, f = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return f(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_conjugates_and_quotients_are_built_by_one_transport(monkeypatch):
+    """``change_basis``, ``quotient`` and ``cohomology._adapted`` each read
+    their constants off one ``linalg._transport`` call, and ``change_basis``
+    brackets no vector through ``core._bracket``.  The inputs keep the
+    Jacobi check of the result off the adapted conjugate, whose build is a
+    transport of its own."""
+    transports = _calls(monkeypatch, linalg, "_transport")
+    brackets = _calls(monkeypatch, core, "_bracket")
+    for L in (heisenberg_even(2, 2), cover_candidate(heisenberg_even(1, 0)).algebra):
+        d = L.dim
+        P = [[F(i + 2, 3 - i % 2) if i == j else 0 for j in range(d)] for i in range(d)]
+        transports.clear()
+        brackets.clear()
+        change_basis(L, P)
+        assert len(transports) == 1 and brackets == []
+        transports.clear()
+        quotient(L, center(L))
+        assert len(transports) == 1
+    built = []
+    for L, P in _bench_conjugates(monkeypatch):
+        C = change_basis(L, P)
+        vars(C).pop("_adapted", None)  # the Jacobi check may have built it
+        transports.clear()
+        if cohomology._adapted(C) is not None:
+            built.append(C.name)
+        assert len(transports) == (C.name in built)
+    assert len(built) == 4  # the two H(k) keep L² on unit rows
+
+
+def test_ad_kernel_and_lambda_mu_build_one_ad_system(monkeypatch):
+    systems = _calls(monkeypatch, core, "_ad_system")
+    L = model_l4()
+    core._ad_kernel(L, Subspace.zero(L))
+    assert len(systems) == 1
+    invariants._z2_action(L)  # the center and the second center, solved once each
+    z = next(r for r in second_center(L).rows if not center(L).contains(r))
+    want = reference.lambda_mu(L, z)
+    systems.clear()
+    assert invariants.lambda_mu(L, z) == want
+    assert len(systems) == 1
