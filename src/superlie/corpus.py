@@ -5,6 +5,16 @@ the corpus is built the other way around: start from a small abelian algebra
 and apply iterated central extensions by random rational combinations of
 cohomology class representatives.  Central extensions preserve nilpotency, so
 every corpus algebra is nilpotent by construction.
+
+Draws repeat algebras often: every draw starts from one of 8 abelian
+algebras, and a 100-algebra corpus holds only 54–70 distinct ones.  So each
+``corpus`` call keeps one table from algebra value to its first instance and
+that instance's class representatives.  Every algebra built goes through the
+table, so ``multiplier`` runs once per distinct algebra, and equal algebras in
+the result are one object, whose per-algebra caches the ledger then fills
+once.  ``multiplier`` is deterministic in the algebra's value, so the shared
+instance yields the same representatives, the draws do not change, and the
+corpus is the same value for value.  The table lives for one call only.
 """
 
 from __future__ import annotations
@@ -12,12 +22,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .cohomology import central_extension, multiplier
+from .cohomology import Cochain2, central_extension, multiplier
 from .constructions import abelian
 from .core import LieSuperalgebra
+from .errors import InvalidParams
 
 MAX_EVEN = 4
 MAX_ODD = 3
+
+# algebra value -> [its first instance, that instance's representatives or None]
+_Table = dict[LieSuperalgebra, list]
 
 
 def _random_fraction(rng: random.Random) -> Fraction:
@@ -26,15 +40,33 @@ def _random_fraction(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-def random_nilpotent(rng: random.Random, max_even: int = MAX_EVEN,
-                     max_odd: int = MAX_ODD) -> LieSuperalgebra:
+def _check_caps(max_even: int, max_odd: int) -> None:
+    # the abelian start alone can take 2 even and 2 odd basis vectors
+    if max_even < 2 or max_odd < 2:
+        raise InvalidParams(f"corpus caps must be at least 2, got ({max_even}, {max_odd})")
+
+
+def _instance(table: _Table, L: LieSuperalgebra) -> LieSuperalgebra:
+    """The first instance equal to L in this call's table."""
+    return table.setdefault(L, [L, None])[0]
+
+
+def _reps(table: _Table, L: LieSuperalgebra) -> tuple[Cochain2, ...]:
+    """multiplier(L)'s class representatives, solved once per table entry."""
+    entry = table[L]
+    if entry[1] is None:
+        entry[1] = multiplier(L).cocycle_basis
+    return entry[1]
+
+
+def _draw(rng: random.Random, max_even: int, max_odd: int, table: _Table) -> LieSuperalgebra:
     m = rng.randint(0, 2)
     n = rng.randint(0, 2)
     if m + n == 0:
         m = 1
-    L = abelian(m, n)
+    L = _instance(table, abelian(m, n))
     for _ in range(rng.randint(1, 3)):
-        reps = multiplier(L).cocycle_basis
+        reps = _reps(table, L)
         even_reps = [f for f in reps if f.parity == 0]
         odd_reps = [f for f in reps if f.parity == 1]
         room_e = max_even - L.n_even
@@ -53,12 +85,25 @@ def random_nilpotent(rng: random.Random, max_even: int = MAX_EVEN,
             if others and rng.random() < 0.5:
                 g = g.plus(rng.choice(others).scale(_random_fraction(rng)))
             mixed.append(g)
-        L = central_extension(L, mixed).algebra
+        L = _instance(table, central_extension(L, mixed).algebra)
     return L
+
+
+def random_nilpotent(rng: random.Random, max_even: int = MAX_EVEN,
+                     max_odd: int = MAX_ODD) -> LieSuperalgebra:
+    """One random nilpotent algebra of at most max_even | max_odd basis
+    vectors; each cap must be at least 2."""
+    _check_caps(max_even, max_odd)
+    return _draw(rng, max_even, max_odd, {})
 
 
 def corpus(seed: int, size: int, max_even: int = MAX_EVEN,
            max_odd: int = MAX_ODD) -> list[LieSuperalgebra]:
-    """Reproducible list of random nilpotent algebras."""
+    """Reproducible list of random nilpotent algebras, one object per
+    distinct algebra."""
+    if size < 0:
+        raise InvalidParams(f"corpus size must be non-negative, got {size}")
+    _check_caps(max_even, max_odd)
     rng = random.Random(seed)
-    return [random_nilpotent(rng, max_even, max_odd) for _ in range(size)]
+    table: _Table = {}
+    return [_draw(rng, max_even, max_odd, table) for _ in range(size)]

@@ -45,11 +45,16 @@ the chosen cochains, and ``cocycle_basis`` takes its columns from the
 candidate of Ab(m,n); its ``quotient`` is the one here.
 ``own_cocycle_basis`` is the one-system ``cohomology._cocycle_basis`` from
 before the system was solved on the conjugate adapted to L² and carried
-back: it solves L's own cocycle equations in L's basis.  Nothing outside the
-tests imports this module.
+back: it solves L's own cocycle equations in L's basis.
+``random_nilpotent`` is the corpus generator of ``superlie.corpus`` from
+before each ``corpus`` call kept one instance per distinct algebra: it
+solves ``multiplier`` on every algebra it builds, here the per-parity
+``multiplier`` above, whose representatives equal the library's value for
+value and in order.  Nothing outside the tests imports this module.
 """
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -57,7 +62,9 @@ from types import SimpleNamespace
 import reference_linalg
 from superlie import core
 from superlie import linalg as _linalg
-from superlie.cohomology import Cochain2, MultiplierResult, _cocycle_equations
+from superlie.cohomology import Cochain2, MultiplierResult, _cocycle_equations, central_extension
+from superlie.constructions import abelian
+from superlie.corpus import MAX_EVEN, MAX_ODD, _random_fraction
 from superlie.core import (
     DefiningPair,
     LieSuperalgebra,
@@ -562,3 +569,34 @@ def free_two_step_cover(m: int, n: int) -> DefiningPair:
     M = core.derived_subalgebra(H)
     _, proj = quotient(H, M)
     return DefiningPair(H, M, proj)
+
+
+def random_nilpotent(rng: random.Random, max_even: int = MAX_EVEN,
+                     max_odd: int = MAX_ODD) -> LieSuperalgebra:
+    m = rng.randint(0, 2)
+    n = rng.randint(0, 2)
+    if m + n == 0:
+        m = 1
+    L = abelian(m, n)
+    for _ in range(rng.randint(1, 3)):
+        reps = multiplier(L).cocycle_basis
+        even_reps = [f for f in reps if f.parity == 0]
+        odd_reps = [f for f in reps if f.parity == 1]
+        room_e = max_even - L.n_even
+        room_o = max_odd - L.n_odd
+        ke = rng.randint(0, min(room_e, len(even_reps), 2))
+        ko = rng.randint(0, min(room_o, len(odd_reps), 2))
+        if ke + ko == 0:
+            break
+        chosen = rng.sample(even_reps, ke) + rng.sample(odd_reps, ko)
+        mixed = []
+        for f in chosen:
+            g = f.scale(_random_fraction(rng))
+            # Mixing in unchosen representatives keeps the classes independent.
+            others = [h for h in (even_reps if f.parity == 0 else odd_reps)
+                      if h not in chosen]
+            if others and rng.random() < 0.5:
+                g = g.plus(rng.choice(others).scale(_random_fraction(rng)))
+            mixed.append(g)
+        L = central_extension(L, mixed).algebra
+    return L

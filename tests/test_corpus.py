@@ -1,6 +1,16 @@
+import gc
+import hashlib
+import random
+import weakref
+
+import pytest
+
+import reference_core as reference
+from superlie import corpus as corpus_module
 from superlie.core import is_nilpotent
 from superlie.corpus import MAX_EVEN, MAX_ODD, corpus, random_nilpotent
-import random
+from superlie.errors import InvalidParams
+from superlie.fileformat import emit
 
 
 def test_corpus_reproducible():
@@ -35,3 +45,87 @@ def test_random_nilpotent_respects_custom_caps():
     for _ in range(10):
         L = random_nilpotent(rng, max_even=3, max_odd=2)
         assert L.n_even <= 3 and L.n_odd <= 2
+
+
+def test_corpus_is_pinned():
+    text = "".join(emit(L) for s in range(8) for L in corpus(s, 100))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1fd6ee82944ec5c3f2f451faee116a9840570b8cdb8bdc1c31a7b389080e32ce")
+
+
+@pytest.mark.parametrize("caps", [(3, 2), (2, 2)])
+def test_random_nilpotent_matches_reference(caps):
+    for seed in range(4):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(15):
+            assert random_nilpotent(rng, *caps) == reference.random_nilpotent(ref_rng, *caps)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("caps", [(1, 0), (0, 0), (1, 1), (0, 1), (2, 1), (1, 3)])
+def test_random_nilpotent_rejects_caps_below_two_before_drawing(caps):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(InvalidParams):
+        random_nilpotent(rng, *caps)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("caps", [(1, 3), (4, 1)])
+def test_corpus_rejects_caps_below_two(caps):
+    with pytest.raises(InvalidParams):
+        corpus(0, 5, *caps)
+
+
+def test_corpus_rejects_negative_size():
+    with pytest.raises(InvalidParams):
+        corpus(0, -1)
+    assert corpus(0, 0) == []
+
+
+def test_corpus_holds_one_object_per_distinct_algebra():
+    A = corpus(0, 100)
+    assert len({id(L) for L in A}) == len(set(A)) < len(A)
+
+
+def test_corpus_solves_each_algebra_value_once(monkeypatch):
+    seen = []
+    real = corpus_module.multiplier
+
+    def counting(L):
+        seen[-1].append(L)
+        return real(L)
+
+    monkeypatch.setattr(corpus_module, "multiplier", counting)
+    for s in range(4):
+        seen.append([])
+        corpus(s, 100)
+        assert len(set(seen[-1])) == len(seen[-1])
+    assert sum(map(len, seen)) == 233
+
+
+def test_corpus_calls_share_no_object():
+    a, b = corpus(0, 100), corpus(0, 100)
+    assert a == b
+    assert not {id(L) for L in a} & {id(L) for L in b}
+
+
+def test_corpus_frees_its_intermediate_algebras(monkeypatch):
+    built = []
+    real = corpus_module.central_extension
+
+    def recording(L, chosen):
+        ext = real(L, chosen)
+        built.append(weakref.ref(ext.algebra))
+        return ext
+
+    monkeypatch.setattr(corpus_module, "central_extension", recording)
+    gc.disable()
+    try:
+        A = corpus(0, 30)
+        kept = {id(L) for L in A}
+        live = [r() for r in built if r() is not None]
+        assert len(live) < len(built)  # some intermediates were freed ...
+        assert all(id(L) in kept for L in live)  # ... and only results live on
+    finally:
+        gc.enable()
