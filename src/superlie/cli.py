@@ -138,12 +138,12 @@ def _cmd_validate(args) -> int:
     try:
         parse(_read(args.file))
     except ParseError as exc:
-        print(f"parse error: {exc}")
+        _write(f"parse error: {exc}\n")
         return 2
     except (GradingError, JacobiError, InvalidParams) as exc:
-        print(f"invalid: {type(exc).__name__}: {exc}")
+        _write(f"invalid: {type(exc).__name__}: {exc}\n")
         return 1
-    print("OK")
+    _write("OK\n")
     return 0
 
 

@@ -45,7 +45,7 @@ from .core import (
 )
 from .errors import DependentClasses, InvalidParams, StemConditionFailed
 from .linalg import Vec
-from .superdim import SuperDim
+from .superdim import SuperDim, bound
 
 
 def _parity(p, pair: tuple[int, int]) -> int:
@@ -289,15 +289,14 @@ def multiplier_sdim(L: LieSuperalgebra) -> SuperDim:
 
     On the parity-π functionals, the kernel of g -> -g∘[·,·] is the
     annihilator of L², so sdim B² = sdim L² parity by parity, and
-    sdim M_π = |C²_π| - rank_π(cocycle equations) - sdim L²_π.  Ranks do not
+    sdim M_π = |C²_π| - rank_π(cocycle equations) - sdim L²_π, where
+    |C²| = bound(sdim L) counts the free pairs per parity.  Ranks do not
     change under a parity-preserving base change, so the equations are
     ranked by ``_adapted_equations``, on the conjugate adapted to L² that
     ``_adapted`` keeps on L (the Jacobi check has often built it), where they
     are sparse, or on L itself when L² has unit canonical rows.  A row's
     parity is its pivot's."""
-    L2 = derived_subalgebra(L)
-    ne, no = L.n_even, L.n_odd
-    count = [ne * (ne - 1) // 2 + no * (no + 1) // 2 - L2.sdim.even, ne * no - L2.sdim.odd]
+    count = list((bound(L.sdim) - derived_subalgebra(L).sdim).as_tuple())
     for pair in _adapted_equations(L).pivots():
         count[_parity(L.parities, pair)] -= 1
     return SuperDim(*count)

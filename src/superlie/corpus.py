@@ -4,7 +4,9 @@ Random structure-constant tables almost never satisfy the Jacobi identity, so
 the corpus is built the other way around: start from a small abelian algebra
 and apply iterated central extensions by random rational combinations of
 cohomology class representatives.  Central extensions preserve nilpotency, so
-every corpus algebra is nilpotent by construction.
+every corpus algebra is nilpotent by construction.  ``corpus(seed, size)`` is
+the one entry point; every algebra has at most ``MAX_EVEN`` = 4 even and
+``MAX_ODD`` = 3 odd basis vectors.
 
 Draws repeat algebras often: every draw starts from one of 8 abelian
 algebras, and a 100-algebra corpus holds only 54–70 distinct ones.  So each
@@ -40,12 +42,6 @@ def _random_fraction(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-def _check_caps(max_even: int, max_odd: int) -> None:
-    # the abelian start alone can take 2 even and 2 odd basis vectors
-    if max_even < 2 or max_odd < 2:
-        raise InvalidParams(f"corpus caps must be at least 2, got ({max_even}, {max_odd})")
-
-
 def _instance(table: _Table, L: LieSuperalgebra) -> LieSuperalgebra:
     """The first instance equal to L in this call's table."""
     return table.setdefault(L, [L, None])[0]
@@ -59,7 +55,7 @@ def _reps(table: _Table, L: LieSuperalgebra) -> tuple[Cochain2, ...]:
     return entry[1]
 
 
-def _draw(rng: random.Random, max_even: int, max_odd: int, table: _Table) -> LieSuperalgebra:
+def _draw(rng: random.Random, table: _Table) -> LieSuperalgebra:
     m = rng.randint(0, 2)
     n = rng.randint(0, 2)
     if m + n == 0:
@@ -69,8 +65,8 @@ def _draw(rng: random.Random, max_even: int, max_odd: int, table: _Table) -> Lie
         reps = _reps(table, L)
         even_reps = [f for f in reps if f.parity == 0]
         odd_reps = [f for f in reps if f.parity == 1]
-        room_e = max_even - L.n_even
-        room_o = max_odd - L.n_odd
+        room_e = MAX_EVEN - L.n_even
+        room_o = MAX_ODD - L.n_odd
         ke = rng.randint(0, min(room_e, len(even_reps), 2))
         ko = rng.randint(0, min(room_o, len(odd_reps), 2))
         if ke + ko == 0:
@@ -89,21 +85,11 @@ def _draw(rng: random.Random, max_even: int, max_odd: int, table: _Table) -> Lie
     return L
 
 
-def random_nilpotent(rng: random.Random, max_even: int = MAX_EVEN,
-                     max_odd: int = MAX_ODD) -> LieSuperalgebra:
-    """One random nilpotent algebra of at most max_even | max_odd basis
-    vectors; each cap must be at least 2."""
-    _check_caps(max_even, max_odd)
-    return _draw(rng, max_even, max_odd, {})
-
-
-def corpus(seed: int, size: int, max_even: int = MAX_EVEN,
-           max_odd: int = MAX_ODD) -> list[LieSuperalgebra]:
+def corpus(seed: int, size: int) -> list[LieSuperalgebra]:
     """Reproducible list of random nilpotent algebras, one object per
     distinct algebra."""
     if size < 0:
         raise InvalidParams(f"corpus size must be non-negative, got {size}")
-    _check_caps(max_even, max_odd)
     rng = random.Random(seed)
     table: _Table = {}
-    return [_draw(rng, max_even, max_odd, table) for _ in range(size)]
+    return [_draw(rng, table) for _ in range(size)]

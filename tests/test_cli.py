@@ -134,6 +134,19 @@ def test_unwritable_name_is_a_typed_error(tmp_path, command):
     assert done.stderr == "error: stdout's encoding ascii cannot write '\\xe9'\n"
 
 
+@pytest.mark.parametrize("text", ['algebra "n"\neven a\u00e9\nodd\n',
+                                  'algebra "n"\neven x y z\nodd\n[x,y] = 2 d\u00e9\n'],
+                         ids=["identifier", "term"])
+def test_unwritable_validate_message_is_a_typed_error(tmp_path, text):
+    """validate's message quotes the bad token; one that ASCII stdout cannot
+    write ends in UnwritableOutput too, not in a traceback."""
+    f = tmp_path / "e.lsa"
+    f.write_bytes(text.encode())
+    done = _run_in_the_c_locale("validate", str(f))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: stdout's encoding ascii cannot write '\\xe9'\n"
+
+
 @pytest.mark.parametrize("size", ["0", "-3"])
 def test_verify_paper_rejects_empty_corpus(capsys, size):
     assert main(["verify-paper", "--corpus-size", size]) == 64
