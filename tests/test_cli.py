@@ -147,6 +147,18 @@ def test_unwritable_validate_message_is_a_typed_error(tmp_path, text):
     assert done.stderr == "error: stdout's encoding ascii cannot write '\\xe9'\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ('algebra "n"\neven a\u00e9\nodd\n', "line 2, column 6: bad identifier 'a\u00e9'"),
+    ('algebra "n"\neven x y z\nodd\n[x,y] = 2 d\u00e9\n', "line 4, column 9: bad term '2 d\u00e9'"),
+], ids=["identifier", "term"])
+def test_validate_message_quotes_a_non_ascii_token(tmp_path, capsys, text, message):
+    """Where stdout can write it, validate's message quotes the token as is."""
+    f = tmp_path / "e.lsa"
+    f.write_bytes(text.encode())
+    assert main(["validate", str(f)]) == 2
+    assert capsys.readouterr().out == f"parse error: {message}\n"
+
+
 @pytest.mark.parametrize("size", ["0", "-3"])
 def test_verify_paper_rejects_empty_corpus(capsys, size):
     assert main(["verify-paper", "--corpus-size", size]) == 64

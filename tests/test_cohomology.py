@@ -42,6 +42,13 @@ def test_cochain_pairs():
     assert cochain_pairs(L, 1) == [(0, 3), (1, 3), (2, 3)]
 
 
+@pytest.mark.parametrize("m, n", [(0, 1), (3, 2), (2, 3)])
+def test_bound_counts_the_free_pairs(m, n):
+    """|C²_π| = bound(sdim L)_π, the count ``multiplier_sdim`` starts from."""
+    L = abelian(m, n)
+    assert bound(L.sdim).as_tuple() == (len(cochain_pairs(L, 0)), len(cochain_pairs(L, 1)))
+
+
 def test_cochain_evaluation_signs():
     L = heisenberg_even(1, 1)
     f = Cochain2(L, 0, (((0, 1), F(2)), ((3, 3), F(1))))

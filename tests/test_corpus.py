@@ -34,6 +34,12 @@ def test_corpus_all_nilpotent_within_caps():
         assert L.n_even <= MAX_EVEN and L.n_odd <= MAX_ODD
 
 
+def test_corpus_reaches_the_fixed_caps():
+    algebras = corpus(0, 100)
+    assert max(L.n_even for L in algebras) == MAX_EVEN
+    assert max(L.n_odd for L in algebras) == MAX_ODD
+
+
 def test_corpus_hits_nonabelian_and_mixed_parity():
     algebras = corpus(0, 30)
     assert any(L.constants for L in algebras)
