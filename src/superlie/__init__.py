@@ -29,8 +29,6 @@ from .cohomology import (
     Cochain2,
     MultiplierResult,
     central_extension,
-    coboundary_space,
-    cocycle_space,
     cover_candidate,
     multiplier,
 )

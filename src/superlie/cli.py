@@ -65,14 +65,19 @@ def _read(path: str) -> str:
 
 
 def _write(text: str) -> None:
-    """Write text to stdout in one call.  A text stream encodes the whole
-    text before it writes any of it, so output that its encoding cannot
-    represent raises UnwritableOutput with nothing written."""
+    """Write text to stdout in one call; every command's output goes through
+    here.  A text stream encodes the whole text before it writes any of it,
+    so output that its encoding cannot represent raises UnwritableOutput
+    with nothing written."""
     try:
         sys.stdout.write(text)
     except UnicodeEncodeError as exc:
         bad = exc.object[exc.start:exc.end]
         raise UnwritableOutput(f"stdout's encoding {exc.encoding} cannot write {bad!r}") from None
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def _load(args):
@@ -97,10 +102,13 @@ class _HelpShown(Exception):
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that never exits the process: a bad command line
     raises UsageError, and ``exit``, which only -h/--help still reaches,
-    raises _HelpShown."""
+    raises _HelpShown.  Its help goes to stdout through ``_write``."""
 
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        _write(self.format_help())
 
     def exit(self, status=0, message=None):
         raise _HelpShown()
@@ -163,7 +171,7 @@ def _cmd_invariants(args) -> int:
             "dr": rep.dr,
             "nilpotency_class": rep.nilpotency_class,
         }
-        print(json.dumps(payload, sort_keys=True))
+        _write(_json(payload))
     else:
         cls = rep.nilpotency_class if rep.nilpotency_class is not None else "not nilpotent"
         _write(f"algebra          {rep.name}\n"
@@ -196,16 +204,14 @@ def _cmd_multiplier(args) -> int:
                 }
                 for f in res.cocycle_basis
             ]
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"sdim Z^2 = {res.sdim_Z2}")
-        print(f"sdim B^2 = {res.sdim_B2}")
-        print(f"sdim M = {res.sdim_M}")
-        if args.cocycles:
-            for f in res.cocycle_basis:
-                entries = ", ".join(
-                    f"f({L.labels[i]},{L.labels[j]})={c}" for (i, j), c in f.values)
-                print(f"parity {f.parity}: {entries}")
+        _write(_json(payload))
+        return 0
+    lines = [f"sdim Z^2 = {res.sdim_Z2}", f"sdim B^2 = {res.sdim_B2}", f"sdim M = {res.sdim_M}"]
+    if args.cocycles:
+        for f in res.cocycle_basis:
+            entries = ", ".join(f"f({L.labels[i]},{L.labels[j]})={c}" for (i, j), c in f.values)
+            lines.append(f"parity {f.parity}: {entries}")
+    _write("".join(line + "\n" for line in lines))
     return 0
 
 
@@ -214,19 +220,16 @@ def _cmd_classify(args) -> int:
     try:
         out = classify_mr_le2(L)
     except NotNilpotent:
-        print("not nilpotent")
+        _write(_json({"result": "not_nilpotent"}) if args.json else "not nilpotent\n")
         return 1
-    if args.json:
-        if isinstance(out, NotCovered):
-            payload = {"result": "not_covered", "reason": out.reason,
-                       "contradiction": out.contradiction}
-        else:
-            payload = {"result": "table", "label": out.label, "smr": _pair(out.smr)}
-        print(json.dumps(payload, sort_keys=True))
-    elif isinstance(out, NotCovered):
-        print(f"NotCovered: {out.reason}")
+    if isinstance(out, NotCovered):
+        payload = {"result": "not_covered", "reason": out.reason,
+                   "contradiction": out.contradiction}
+        text = f"NotCovered: {out.reason}\n"
     else:
-        print(f"{out.label}  smr {out.smr}")
+        payload = {"result": "table", "label": out.label, "smr": _pair(out.smr)}
+        text = f"{out.label}  smr {out.smr}\n"
+    _write(_json(payload) if args.json else text)
     return 0
 
 
@@ -242,11 +245,10 @@ def _cmd_verify_paper(args) -> int:
     if args.corpus_size < 1:
         raise UsageError("--corpus-size must be at least 1")
     results = run_paper_checks(seed=args.seed, corpus_size=args.corpus_size)
-    ok = True
-    for key, res in results.items():
-        ok &= res.passed
-        print(f"{'PASS' if res.passed else 'FAIL'}  {key}: {res.detail}")
-    print("all checks passed" if ok else "SOME CHECKS FAILED")
+    ok = all(res.passed for res in results.values())
+    _write("".join(f"{'PASS' if res.passed else 'FAIL'}  {key}: {res.detail}\n"
+                   for key, res in results.items())
+           + ("all checks passed\n" if ok else "SOME CHECKS FAILED\n"))
     return 0 if ok else 1
 
 
@@ -262,13 +264,13 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or argv[0] in ("-h", "--help"):
-        print(USAGE)
-        return 0 if argv else 64
-    if argv[0] not in COMMANDS:
-        print(USAGE, file=sys.stderr)
-        return 64
     try:
+        if not argv or argv[0] in ("-h", "--help"):
+            _write(USAGE + "\n")
+            return 0 if argv else 64
+        if argv[0] not in COMMANDS:
+            print(USAGE, file=sys.stderr)
+            return 64
         args = _PARSER.parse_args(argv)
         return COMMANDS[args.command](args)
     except _HelpShown:

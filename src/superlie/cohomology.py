@@ -44,19 +44,12 @@ from .core import (
     validate,
 )
 from .errors import DependentClasses, InvalidParams, StemConditionFailed
-from .linalg import Vec
 from .superdim import SuperDim, bound
 
 
 def _parity(p, pair: tuple[int, int]) -> int:
     """|e_i| + |e_j|: the parity of a cochain or homogeneous row whose first pair is (i, j)."""
     return (p[pair[0]] + p[pair[1]]) % 2
-
-
-def cochain_pairs(L: LieSuperalgebra, parity: int) -> list[tuple[int, int]]:
-    """Free coordinates of a parity-π 2-cochain: the free pairs (i, j) of
-    ``_free_pairs`` with |e_i| + |e_j| = π."""
-    return [key for key in _free_pairs(L.parities) if _parity(L.parities, key) == parity]
 
 
 @dataclass(frozen=True)
@@ -68,7 +61,7 @@ class Cochain2:
     values: tuple[tuple[tuple[int, int], Fraction], ...]
 
     def __post_init__(self):
-        # the membership test of cochain_pairs, without listing all O(d²) pairs
+        # a free pair of this parity, tested without listing all O(d²) pairs
         p = self.parent.parities
         for (i, j), c in self.values:
             if (not 0 <= i <= j < len(p) or _orient(p, i, j) is None
@@ -76,7 +69,7 @@ class Cochain2:
                 raise InvalidParams(f"coordinate {(i, j)} not free for a parity-{self.parity} cochain")
             if c == 0:
                 raise InvalidParams("cochain values must be normalized (no zeros)")
-        # one value per coordinate, in cochain_pairs order, so that the values
+        # one value per coordinate, in ``_free_pairs`` order, so that the values
         # read as a sparse row over the pairs
         if any(a >= b for (a, _), (b, _) in zip(self.values, self.values[1:])):
             raise InvalidParams("cochain coordinates must be strictly increasing")
@@ -88,12 +81,6 @@ class Cochain2:
             raise InvalidParams(f"basis indices {(i, j)} outside range({len(p)})")
         key, s = _orient(p, i, j) or (None, 0)
         return s * dict(self.values).get(key, Fraction(0))
-
-    def as_vector(self, pairs=None) -> Vec:
-        if pairs is None:
-            pairs = cochain_pairs(self.parent, self.parity)
-        table = dict(self.values)
-        return tuple(table.get(p, Fraction(0)) for p in pairs)
 
     def scale(self, c) -> "Cochain2":
         c = Fraction(c)
@@ -186,11 +173,6 @@ def _cocycle_basis(L: LieSuperalgebra) -> list[linalg.Row]:
     return _cocycle_system(L).kernel(_free_pairs(L.parities)).rows()
 
 
-def cocycle_space(L: LieSuperalgebra, parity: int) -> list[Cochain2]:
-    """Canonical basis of the parity-π 2-cocycles."""
-    return [f for f in (_cochain(L, r) for r in _cocycle_basis(L)) if f.parity == parity]
-
-
 def _coboundaries(L: LieSuperalgebra) -> list[dict[tuple[int, int], int]]:
     """The coboundaries (x, y) -> -g([x, y]) of the functionals g = e_k*,
     times D, one sparse integer row per k from ``_int_table``; grading makes
@@ -201,12 +183,6 @@ def _coboundaries(L: LieSuperalgebra) -> list[dict[tuple[int, int], int]]:
         for k, x in table[key].items():
             rows[k][key] = -x
     return rows
-
-
-def coboundary_space(L: LieSuperalgebra, parity: int) -> list[Cochain2]:
-    """Canonical basis of {(x,y) -> -g([x,y])} over parity-π functionals g."""
-    rows = linalg.Echelon(_coboundaries(L)).rows()
-    return [f for f in (_cochain(L, r) for r in rows) if f.parity == parity]
 
 
 @dataclass(frozen=True, eq=False)

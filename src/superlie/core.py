@@ -373,9 +373,6 @@ class LinearMap:
 
     matrix: tuple[Vec, ...]
 
-    def __call__(self, v: Vec) -> Vec:
-        return linalg.mat_vec(self.matrix, v)
-
 
 @dataclass(frozen=True, eq=False)
 class DefiningPair:

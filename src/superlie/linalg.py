@@ -19,8 +19,8 @@ positions and back.
 
 ``rref``, ``rank``, ``nullspace`` and ``reduce_mod`` are thin wrappers over
 the kernel that take and return dense row vectors (tuples of Fraction), with
-columns labelled 0, 1, ...; so does ``mat_vec``.  There are no dense vector
-helpers: the library converts only at its public edge.
+columns labelled 0, 1, ....  There are no dense vector helpers: the library
+converts only at its public edge.
 """
 
 from __future__ import annotations
@@ -342,7 +342,3 @@ def reduce_mod(v: Vec, rref_rows) -> Vec:
 def nullspace(rows, ncols: int) -> list[Vec]:
     """Canonical echelon basis of {x : A x = 0} for A given by dense rows."""
     return Echelon(sparse(r) for r in rows).kernel(range(ncols)).dense(ncols)
-
-
-def mat_vec(rows, v: Vec) -> Vec:
-    return tuple(sum((a * b for a, b in zip(row, v)), _ZERO) for row in rows)

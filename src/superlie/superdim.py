@@ -35,14 +35,8 @@ class SignedPair:
     def total(self) -> int:
         return self.even + self.odd
 
-    def pi_swap(self):
-        return type(self)(self.odd, self.even)
-
     def leq(self, other: SignedPair) -> bool:
         return self.even <= other.even and self.odd <= other.odd
-
-    def lt(self, other: SignedPair) -> bool:
-        return self.leq(other) and self != other
 
     @property
     def is_nonnegative(self) -> bool:

@@ -22,27 +22,35 @@ The bodies are unchanged (``bracket``, ``check_jacobi``, ``basis_bracket``
 and ``cochain_plus`` are the former methods, with ``self`` now the first
 argument, ``cochain_value`` is the former ``Cochain2.__call__``, and
 ``cochain_plus`` calls the former ``Cochain2.from_vector`` classmethod as
-``cochain_from_vector``; ``span_rows`` is the former classmethod
+``cochain_from_vector`` and the former ``Cochain2.as_vector`` method as
+``as_vector``; ``span_rows`` is the former classmethod
 ``_span_rows`` with ``cls`` its first argument, and ``span_rows`` and
 ``ad_kernel``, the former ``_ad_kernel``, build a ``DenseSubspace``, which
 holds the former ``Subspace`` fields).  Their ``linalg`` is the library's
 kernel with the dense vector helpers (``zero_vec``, ``vec_add``,
-``vec_scale``) and the elimination (``reduce_mod``, ``nullspace``,
-``invert``) taken from the dense seed kernel in ``reference_linalg``.  ``second_center`` quotients
-with the ``quotient`` here.  Tests compare ``second_center``,
+``vec_scale``, ``mat_vec``) and the elimination (``reduce_mod``,
+``nullspace``, ``invert``) taken from the dense seed kernel in
+``reference_linalg``.  ``second_center`` quotients with the ``quotient``
+here and applies its projection as ``mat_vec(proj.matrix, v)``, what the
+former ``LinearMap.__call__`` did.  Tests compare ``second_center``,
 ``Subspace.intersection``, ``derived_subalgebra``, ``lambda_mu``,
 ``central_z2_samples`` (the former ``_central_z2_samples``), ``bracket``,
 ``direct_sum``, ``check_jacobi``, ``cocycle_equations``, ``Cochain2.plus``,
 ``basis_bracket``, ``cochain_pairs``, ``Cochain2.__call__``, ``quotient``,
 ``change_basis``, ``Subspace.span`` and ``_ad_kernel`` against these, and
-``multiplier``, ``cocycle_space``, ``coboundary_space`` and
-``central_extension``'s check against the per-parity passes, which are
-named without the leading underscore (``cocycle_equations_of_parity`` is the
-former ``_cocycle_equations``, ``check_independent`` the loop, taking L and
-the chosen cochains, and ``cocycle_basis`` takes its columns from the
-``cochain_pairs`` here).  ``free_two_step_cover`` is the hand-built layout of
-``superlie.constructions`` from before it became the relabelled cover
-candidate of Ab(m,n); its ``quotient`` is the one here.
+``multiplier``, its Z² and B² bases (``cohomology._cocycle_basis`` and
+the echelon of ``_coboundaries``) and ``central_extension``'s check against
+the per-parity passes, which are named without the leading underscore
+(``cocycle_equations_of_parity`` is the former ``_cocycle_equations``,
+``check_independent`` the loop, taking L and the chosen cochains, and
+``cocycle_basis`` takes its columns from the ``cochain_pairs`` here).
+``cocycle_space`` and ``coboundary_space`` read those bases per parity as
+cochains, as the library's public helpers of those names did before they
+were retired; ``cochain_pairs`` stands in for the retired library helper of
+that name, and tests check it against ``core._free_pairs``.
+``free_two_step_cover`` is the hand-built layout of ``superlie.constructions``
+from before it became the relabelled cover candidate of Ab(m,n); its
+``quotient`` is the one here.
 ``own_cocycle_basis`` is the one-system ``cohomology._cocycle_basis`` from
 before the system was solved on the conjugate adapted to L² and carried
 back: it solves L's own cocycle equations in L's basis.
@@ -106,7 +114,7 @@ linalg = SimpleNamespace(
     _dense=_linalg._dense,
     pivots=reference_linalg.pivots,
     invert=reference_linalg.invert,
-    mat_vec=_linalg.mat_vec,
+    mat_vec=reference_linalg.mat_vec,
 )
 
 
@@ -157,7 +165,8 @@ def second_center(L):
         if not cols:
             continue
         target_rows = ZQ.even_rows if par == 0 else ZQ.odd_rows
-        residuals = [linalg.reduce_mod(proj(L.basis_vector(i)), target_rows) for i in cols]
+        residuals = [linalg.reduce_mod(linalg.mat_vec(proj.matrix, L.basis_vector(i)), target_rows)
+                     for i in cols]
         eqs = [tuple(res[k] for res in residuals) for k in range(Q.dim)]
         for coeffs in linalg.nullspace(eqs, len(cols)):
             v = [Fraction(0)] * L.dim
@@ -310,8 +319,15 @@ def cochain_plus(self, other):
     if other.parent != self.parent or other.parity != self.parity:
         raise InvalidParams("can only add cochains of equal parent and parity")
     pairs = cochain_pairs(self.parent, self.parity)
-    vec = linalg.vec_add(self.as_vector(pairs), other.as_vector(pairs))
+    vec = linalg.vec_add(as_vector(self, pairs), as_vector(other, pairs))
     return cochain_from_vector(self.parent, self.parity, vec)
+
+
+def as_vector(self, pairs=None) -> Vec:
+    if pairs is None:
+        pairs = cochain_pairs(self.parent, self.parity)
+    table = dict(self.values)
+    return tuple(table.get(p, Fraction(0)) for p in pairs)
 
 
 def basis_bracket(self, i: int, j: int) -> dict[int, Fraction]:
@@ -491,6 +507,17 @@ def coboundaries(L: LieSuperalgebra, parity: int) -> linalg.Echelon:
             for k, x in vec:
                 rows[k][(i, j)] = -x
     return linalg.Echelon(rows.values())
+
+
+def cocycle_space(L: LieSuperalgebra, parity: int) -> list[Cochain2]:
+    """Canonical basis of the parity-π 2-cocycles, as cochains."""
+    return [cochain(L, parity, r) for r in cocycle_basis(L, parity)]
+
+
+def coboundary_space(L: LieSuperalgebra, parity: int) -> list[Cochain2]:
+    """Canonical basis of {(x,y) -> -g([x,y])} over parity-π functionals g,
+    as cochains."""
+    return [cochain(L, parity, r) for r in coboundaries(L, parity).rows()]
 
 
 def multiplier(L: LieSuperalgebra) -> MultiplierResult:

@@ -1,15 +1,16 @@
 """The dense elimination kernel that ``superlie.linalg`` used before its
 sparse incremental ``Echelon``, kept word for word as the test reference,
-the dense vector helpers ``zero_vec``, ``is_zero``, ``vec_add`` and
-``vec_scale`` that the library no longer has, and its former ``invert``
-(over the ``rref`` here), which ``core.change_basis`` replaced with its own
-elimination of [P | I].
+the dense vector helpers ``zero_vec``, ``is_zero``, ``vec_add``,
+``vec_scale`` and ``mat_vec`` that the library no longer has (``mat_vec``
+was ``linalg.mat_vec``, the body of ``LinearMap.__call__``), and its former
+``invert`` (over the ``rref`` here), which ``core.change_basis`` replaced
+with its own elimination of [P | I].
 
 Tests compare the library's ``rref``, ``nullspace`` and ``reduce_mod``
 against these on random rational matrices, ``reference_core`` runs the
-earlier subspace calculus on them, and the base-change helpers redraw a
-singular P when ``invert`` rejects it; nothing outside the tests imports
-this module.
+earlier subspace calculus on them, tests apply a projection matrix with
+``mat_vec``, and the base-change helpers redraw a singular P when
+``invert`` rejects it; nothing outside the tests imports this module.
 """
 
 from fractions import Fraction
@@ -34,6 +35,10 @@ def vec_add(a: Vec, b: Vec) -> Vec:
 
 def vec_scale(c: Fraction, a: Vec) -> Vec:
     return tuple(c * x for x in a)
+
+
+def mat_vec(rows, v: Vec) -> Vec:
+    return tuple(sum((a * b for a, b in zip(row, v)), _ZERO) for row in rows)
 
 
 def rref(rows) -> list[Vec]:

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -132,6 +133,36 @@ def test_unwritable_name_is_a_typed_error(tmp_path, command):
     done = _run_in_the_c_locale(command, str(f))
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: stdout's encoding ascii cannot write '\\xe9'\n"
+
+
+class _UnencodableStdout:
+    """A stdout whose encoding can write nothing."""
+
+    encoding = "ascii"
+
+    def write(self, text):
+        raise UnicodeEncodeError("ascii", text, 0, 1, "ordinal not in range(128)")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["multiplier", "-h"],
+    ["validate", "GOOD"], ["invariants", "GOOD"], ["invariants", "GOOD", "--json"],
+    ["multiplier", "GOOD", "--cocycles"], ["multiplier", "GOOD", "--json"],
+    ["classify", "GOOD"], ["classify", "GOOD", "--json"],
+    ["classify", "NOT_NILPOTENT"], ["classify", "NOT_NILPOTENT", "--json"],
+    ["cover", "GOOD"], ["verify-paper", "--corpus-size", "3"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_every_command_reports_unwritable_stdout(tmp_path, capsys, monkeypatch, argv):
+    """Every command writes stdout through one writer: a stdout that cannot
+    encode its output ends in UnwritableOutput (exit 2), not a traceback."""
+    for name, text in (("GOOD", GOOD), ("NOT_NILPOTENT", NOT_NILPOTENT)):
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in ("GOOD", "NOT_NILPOTENT") else a for a in argv]
+    monkeypatch.setattr(sys, "stdout", _UnencodableStdout())
+    assert main(argv) == 2
+    # the writer quotes the first character that it could not encode
+    assert re.fullmatch(r"error: stdout's encoding ascii cannot write '.'\n",
+                        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("text", ['algebra "n"\neven a\u00e9\nodd\n',
@@ -329,6 +360,13 @@ def test_classify_not_nilpotent(tmp_path, capsys):
     f.write_text(NOT_NILPOTENT)
     assert main(["classify", str(f)]) == 1
     assert "not nilpotent" in capsys.readouterr().out
+
+
+def test_classify_not_nilpotent_json(tmp_path, capsys):
+    f = tmp_path / "so3.lsa"
+    f.write_text(NOT_NILPOTENT)
+    assert main(["classify", str(f), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"result": "not_nilpotent"}
 
 
 def test_cover_output(capsys):

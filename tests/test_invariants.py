@@ -123,7 +123,7 @@ def test_check_bounds_fields_h11():
 def test_multiplier_bound_strict_for_h20():
     r = check_bounds(heisenberg_even(2, 0))
     assert r.sdim_M == SuperDim(5, 0)
-    assert r.sdim_M.lt(bound(r.sdim_L))
+    assert r.sdim_M.leq(bound(r.sdim_L)) and r.sdim_M != bound(r.sdim_L)
 
 
 def test_abelian_attains_bound():

@@ -8,8 +8,9 @@ import pytest
 
 import reference_linalg as reference
 from oracle import multiplier_oracle
+from reference_core import cochain_pairs
 from superlie import linalg
-from superlie.cohomology import cochain_pairs, multiplier
+from superlie.cohomology import multiplier
 from superlie.constructions import abelian, heisenberg_even, heisenberg_odd, model_l4
 from superlie.core import change_basis
 from superlie.errors import SingularMatrix
@@ -73,8 +74,8 @@ def test_invert_roundtrip():
     n = len(A)
     for i in range(n):
         e = linalg.unit_vec(n, i)
-        assert linalg.mat_vec(A, linalg.mat_vec(Ainv, e)) == e
-        assert linalg.mat_vec(Ainv, linalg.mat_vec(A, e)) == e
+        assert reference.mat_vec(A, reference.mat_vec(Ainv, e)) == e
+        assert reference.mat_vec(Ainv, reference.mat_vec(A, e)) == e
 
 
 def test_invert_singular():
