@@ -209,7 +209,7 @@ class LieSuperalgebra:
         table = {}
         for (i, j), vec in self.constants:  # an odd [e_i, e_i] has s = 1, one key
             _, s = _orient(self.parities, j, i)
-            table[i, j], table[j, i] = dict(vec), {k: s * c for k, c in vec}
+            table[i, j], table[j, i] = dict(vec), dict(vec) if s == 1 else {k: -c for k, c in vec}
         return table
 
     def basis_bracket(self, i: int, j: int) -> dict[int, Fraction]:
@@ -255,7 +255,8 @@ def validate(parities, constants, name: str = "L", labels=None) -> LieSuperalgeb
 
     ``constants`` maps index pairs (i, j) with i <= j to either a sparse
     mapping {k: coefficient} or a dense coefficient sequence.  Coefficients
-    may be ints, Fractions, or 'p/q' strings.
+    may be ints, Fractions, or 'p/q' strings; each nonzero one is stored as
+    one Fraction, built only when it is not one already.
     """
     parities = tuple(int(p) for p in parities)
     norm = []
@@ -266,9 +267,14 @@ def validate(parities, constants, name: str = "L", labels=None) -> LieSuperalgeb
             items = raw.items()
         else:
             items = enumerate(raw)
-        vec = tuple(sorted((int(k), Fraction(c)) for k, c in items if Fraction(c) != 0))
+        vec = []
+        for k, c in items:
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
+            if c:
+                vec.append((int(k), c))
         if vec:
-            norm.append(((i, j), vec))
+            norm.append(((i, j), tuple(sorted(vec))))
     return LieSuperalgebra(parities, tuple(norm), name=name,
                            labels=tuple(labels) if labels else ())
 
@@ -494,9 +500,15 @@ def lower_central_series(L: LieSuperalgebra) -> list[Subspace]:
 
 
 def is_nilpotent(L: LieSuperalgebra) -> tuple[bool, int | None]:
-    """(nilpotent?, class); class is the number of strict series steps."""
+    """(nilpotent?, class); class is the number of strict series steps.
+
+    The class is an isomorphism invariant, so the series runs on the
+    conjugate adapted to L² that ``cohomology._adapted`` keeps on L (a
+    parse of a dense file has already built it), whose brackets are sparse
+    where L's are dense; on L itself when L is already adapted."""
     def compute():
-        series = lower_central_series(L)
+        from .cohomology import _adapted  # cohomology imports this module
+        series = lower_central_series(_adapted(L) or L)
         if series[-1].sdim != ZERO:
             return False, None
         return True, len(series) - 1

@@ -10,6 +10,10 @@ Line-oriented, ``#`` starts a comment::
 Coefficients are integers or p/q rationals; a coefficient of 1 may be
 omitted.  Brackets given with the arguments in either order are normalized
 via graded skew-symmetry; conflicting orientations are rejected.
+
+``parse`` reads each coefficient as an ``int``, a p/q one as a ``Fraction``,
+and sums and orients them in those types; ``validate`` builds the one
+``Fraction`` stored per constant.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ _ALGEBRA_RE = re.compile(r'^algebra\s+"([^"]*)"\s*$')
 
 
 def _strip_comment(line: str) -> str:
+    if "#" not in line:
+        return line
     in_quote = False
     for pos, ch in enumerate(line):
         if ch == '"':
@@ -53,7 +59,7 @@ def parse(text: str) -> LieSuperalgebra:
     # (line, column, identifier) of every declaration, in file order
     declared: list[tuple[int, int, str]] = []
     # (line, bracket column, lhs, rhs, combination, first column of each identifier)
-    brackets: list[tuple[int, int, str, str, dict[str, Fraction], dict[str, int]]] = []
+    brackets: list[tuple[int, int, str, str, dict[str, int | Fraction], dict[str, int]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).rstrip()
@@ -90,22 +96,28 @@ def parse(text: str) -> LieSuperalgebra:
         lhs, rhs, body = m.group(1), m.group(2), m.group(3)
         columns = {lhs: indent + m.start(1) + 1}
         columns.setdefault(rhs, indent + m.start(2) + 1)
-        combo: dict[str, Fraction] = {}
+        combo: dict[str, int | Fraction] = {}
         term_start = indent + m.start(3)
         for term in body.split("+"):
             tm = _TERM_RE.match(term)
             if not tm:
                 raise ParseError(lineno, term_start + len(term) - len(term.lstrip()) + 1,
                                  f"bad term {term.strip()!r}")
-            try:
-                coef = Fraction(tm.group(1)) if tm.group(1) else Fraction(1)
-            except ZeroDivisionError:
-                raise ParseError(lineno, term_start + tm.start(1) + 1,
-                                 f"zero denominator in coefficient {tm.group(1)!r}") from None
+            written = tm.group(1)
+            if not written:
+                coef = 1
+            elif "/" not in written:
+                coef = int(written)
+            else:
+                num, den = map(int, written.split("/"))
+                if not den:
+                    raise ParseError(lineno, term_start + tm.start(1) + 1,
+                                     f"zero denominator in coefficient {written!r}")
+                coef = Fraction(num, den)
             ident = tm.group(2)
             columns.setdefault(ident, term_start + tm.start(2) + 1)
             term_start += len(term) + 1
-            combo[ident] = combo.get(ident, Fraction(0)) + coef
+            combo[ident] = combo[ident] + coef if ident in combo else coef
         brackets.append((lineno, indent + 1, lhs, rhs, combo, columns))
 
     if name is None:
@@ -120,7 +132,7 @@ def parse(text: str) -> LieSuperalgebra:
     index = {ident: pos for pos, ident in enumerate(ids)}
     parities = [0] * len(even) + [1] * len(odd)
 
-    consts: dict[tuple[int, int], dict[int, Fraction]] = {}
+    consts: dict[tuple[int, int], dict[int, int | Fraction]] = {}
     for lineno, column, lhs, rhs, combo, columns in brackets:
         for ident in (lhs, rhs, *combo):
             if ident not in index:
@@ -129,7 +141,7 @@ def parse(text: str) -> LieSuperalgebra:
         i, j = index[lhs], index[rhs]
         # an even [a,a] keeps its key, for validate to reject if nonzero
         (i, j), s = _orient(parities, i, j) or ((i, j), 1)
-        vec = {index[t]: s * c for t, c in combo.items() if c != 0}
+        vec = {index[t]: c if s == 1 else -c for t, c in combo.items() if c}
         if (i, j) in consts:
             if consts[(i, j)] != vec:
                 raise InconsistentBracket(

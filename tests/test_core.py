@@ -1,14 +1,17 @@
 from fractions import Fraction
+import random
 
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
+from base_change import random_parity_preserving
 from reference_linalg import mat_vec
 from superlie import core
-from superlie.cohomology import Cochain2
+from superlie.cohomology import Cochain2, _adapted, cover_candidate
 from superlie.constructions import (
     abelian,
+    builtin,
     heisenberg_even,
     heisenberg_odd,
     model_l4,
@@ -62,6 +65,24 @@ def test_validate_normalizes_coefficients():
     # dense sequences and zero entries are accepted and cleaned up
     L2 = validate([0, 0, 0], {(0, 1): [0, 0, F(1, 2)], (0, 2): {1: 0}})
     assert L.structure_equals(L2)
+
+
+def _stores_fractions(L):
+    """Every coefficient of ``L.constants`` and of the bracket table is a Fraction."""
+    return (all(type(c) is Fraction for _, vec in L.constants for _, c in vec)
+            and all(type(c) is Fraction for vec in L._table.values() for c in vec.values()))
+
+
+@pytest.mark.parametrize("coef", [3, "3/2", F(3, 2), F(3)], ids=repr)
+def test_validate_stores_one_fraction_per_constant(coef):
+    # a mapping with a zero entry, a dense sequence and an odd square, all central
+    L = validate([0, 0, 0, 1, 1], {(0, 1): {1: 0, 2: coef}, (3, 4): [0, 0, coef, 0, 0],
+                                   (3, 3): {2: coef}})
+    assert _stores_fractions(L)
+    c = F(coef)
+    assert L.basis_bracket(1, 0) == {2: -c}  # even: [e1, e0] = -[e0, e1]
+    assert L.basis_bracket(4, 3) == L.basis_bracket(3, 4) == {2: c}  # odd: symmetric
+    assert L.basis_bracket(3, 3) == {2: c}
 
 
 def test_validate_rejects_bad_parities():
@@ -353,6 +374,37 @@ def test_lower_central_series_and_class():
     series = lower_central_series(model_l4())
     assert [s.sdim for s in series] == [SuperDim(4, 0), SuperDim(2, 0),
                                         SuperDim(1, 0), ZERO]
+
+
+def _cover(L):
+    return cover_candidate(L).algebra
+
+
+@pytest.mark.parametrize("L,expected", [
+    (heisenberg_even(2, 1), (True, 2)),
+    (heisenberg_odd(2), (True, 2)),
+    (_cover(builtin("H(2)")), (True, 2)),
+    (model_l4(), (True, 3)),
+    (_cover(_cover(builtin("H(2)"))), (True, 3)),
+    (direct_sum(so3(), abelian(1, 0)), (False, None)),
+], ids=lambda x: getattr(x, "name", None))
+def test_class_read_on_the_adapted_conjugate(L, expected):
+    # the class is an isomorphism invariant: is_nilpotent reads it on
+    # cohomology._adapted(C), the conjugate adapted to C², which exists here
+    C = change_basis(L, random_parity_preserving(random.Random(7), L))
+    assert _adapted(C) is not None
+    assert is_nilpotent(C) == is_nilpotent(L) == expected
+    # the public series stays in C's own basis
+    series = lower_central_series(C)
+    assert all(S.parent is C for S in series)
+    assert [S.sdim for S in series] == [S.sdim for S in lower_central_series(L)]
+
+
+def test_so3_under_a_base_change_stays_non_nilpotent():
+    L = so3()
+    C = change_basis(L, random_parity_preserving(random.Random(7), L))
+    assert _adapted(C) is None  # C² = C has unit canonical rows
+    assert is_nilpotent(C) == (False, None)
 
 
 # -- quotients ----------------------------------------------------------------

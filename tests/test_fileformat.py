@@ -1,9 +1,13 @@
 from dataclasses import replace
 from fractions import Fraction
+import random
 
 import pytest
 
+from base_change import SO3, random_parity_preserving
 from superlie.constructions import model_registry, abelian, heisenberg_even
+from superlie.core import change_basis
+from superlie.corpus import corpus
 from superlie.errors import (
     DuplicateIdentifier,
     GradingError,
@@ -15,6 +19,7 @@ from superlie.errors import (
 )
 from superlie.fileformat import emit, parse
 from superlie.superdim import SuperDim
+from test_core import _stores_fractions
 
 F = Fraction
 
@@ -54,6 +59,23 @@ def test_parse_coefficients():
     text = 'algebra "T"\neven x y z t\nodd\n[x,y] = -2 z + t\n'
     L = parse(text)
     assert L.basis_bracket(0, 1) == {2: F(-2), 3: F(1)}
+    # repeated identifiers are summed; a zero sum stores no key
+    L = parse('algebra "T"\neven x y z\nodd\n[x,y] = 2 z + 1/2 z\n')
+    assert L.constants == (((0, 1), ((2, F(5, 2)),)),)
+    L = parse('algebra "T"\neven x y z\nodd\n[x,y] = z + -1 z\n')
+    assert L.constants == () and L.basis_bracket(0, 1) == {}
+
+
+def test_parse_stores_one_fraction_per_constant():
+    # [y, x] = -[x, y] for even x, y; [b, a] = [a, b] for odd a, b
+    text = ('algebra "T"\neven x y z t\nodd a b\n'
+            '[y,x] = -2 z + t\n[b,a] = 1/2 z\n[b,b] = 4/2 t\n')
+    L = parse(text)
+    assert _stores_fractions(L)
+    assert L.basis_bracket(0, 1) == {2: F(2), 3: F(-1)}
+    assert L.basis_bracket(1, 0) == {2: F(-2), 3: F(1)}
+    assert L.basis_bracket(4, 5) == L.basis_bracket(5, 4) == {2: F(1, 2)}
+    assert L.basis_bracket(5, 5) == {3: F(2)}
 
 
 def test_parse_reversed_bracket_normalized():
@@ -93,6 +115,10 @@ def test_parse_zero_denominator_is_a_parse_error():
         parse('algebra "T"\neven x y z\nodd\n[x,y] = z + 1/0 z\n')
     assert (exc.value.line, exc.value.column) == (4, 13)
     assert "zero denominator" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        parse('algebra "T"\neven x y z\nodd\n[x,y] = z + 0/0 z\n')
+    assert (exc.value.line, exc.value.column) == (4, 13)
+    assert "zero denominator in coefficient '0/0'" in str(exc.value)
 
 
 @pytest.mark.parametrize("line,column,message", [
@@ -172,11 +198,13 @@ def test_emit_h11():
 
 
 def test_emit_parse_round_trip():
-    for L in model_registry() + [abelian(2, 2)]:
+    rng = random.Random(11)
+    conjugates = [change_basis(L, random_parity_preserving(rng, L))
+                  for L in model_registry() + [SO3] for _ in range(2)]
+    for L in model_registry() + [abelian(2, 2)] + corpus(0, 100) + conjugates:
         text = emit(L)
         back = parse(text)
-        assert back.structure_equals(L)
-        assert back.labels == L.labels and back.name == L.name
+        assert back == L and _stores_fractions(back)
         assert emit(back) == text  # byte-exact idempotence
 
 
