@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .classify import NotCovered, classify_mr_le2
-from .cohomology import cover_candidate, multiplier
+from .cohomology import _multiplier_count, cover_candidate, multiplier
 from .constructions import builtin
 from .errors import (
     GradingError,
@@ -188,13 +188,15 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_multiplier(args) -> int:
     L = _load(args)
-    res = multiplier(L)
+    # without --cocycles only the three superdimensions are printed: count them
+    res = multiplier(L) if args.cocycles else None
+    z2, b2, m = (res.sdim_Z2, res.sdim_B2, res.sdim_M) if res else _multiplier_count(L)
     if args.json:
         payload = {
             "name": L.name,
-            "sdim_Z2": _pair(res.sdim_Z2),
-            "sdim_B2": _pair(res.sdim_B2),
-            "sdim_M": _pair(res.sdim_M),
+            "sdim_Z2": _pair(z2),
+            "sdim_B2": _pair(b2),
+            "sdim_M": _pair(m),
         }
         if args.cocycles:
             payload["cocycles"] = [
@@ -206,7 +208,7 @@ def _cmd_multiplier(args) -> int:
             ]
         _write(_json(payload))
         return 0
-    lines = [f"sdim Z^2 = {res.sdim_Z2}", f"sdim B^2 = {res.sdim_B2}", f"sdim M = {res.sdim_M}"]
+    lines = [f"sdim Z^2 = {z2}", f"sdim B^2 = {b2}", f"sdim M = {m}"]
     if args.cocycles:
         for f in res.cocycle_basis:
             entries = ", ".join(f"f({L.labels[i]},{L.labels[j]})={c}" for (i, j), c in f.values)

@@ -16,8 +16,8 @@ The system is ranked on A, the conjugate adapted to L² (``_adapted``, read
 off ``linalg._transport`` as ``core.change_basis`` is), or on L itself when
 L²'s canonical rows are unit vectors.  In A every bracket lies on unit
 vectors, so its equations are sparse where a dense L's are not, and the rank
-per parity is the same.  ``multiplier_sdim`` reads sdim M off that rank;
-``multiplier`` carries A's independent rows back to L's pairs
+per parity is the same.  ``_multiplier_count`` reads sdim Z², B² and M off
+that rank; ``multiplier`` carries A's independent rows back to L's pairs
 (``_cocycle_system``).  f -> f∘(P×P) maps Z²(L) onto Z²(A), so the carried
 rows span L's own equations, and reduced echelon form is unique: the Z²
 basis and every representative are the ones L's own system gives.
@@ -259,23 +259,30 @@ def _adapted(L: LieSuperalgebra) -> LieSuperalgebra | None:
     return _memo(L, "_adapted", build)
 
 
-def multiplier_sdim(L: LieSuperalgebra) -> SuperDim:
-    """sdim M(L), counted: ``multiplier``'s sdim_M with no cocycle space, no
-    coboundary echelon and no representatives built.
+def _multiplier_count(L: LieSuperalgebra) -> tuple[SuperDim, SuperDim, SuperDim]:
+    """(sdim Z², sdim B², sdim M) of L, counted: ``multiplier``'s three
+    superdimensions with no cocycle space, no coboundary echelon and no
+    representatives built.
 
-    On the parity-π functionals, the kernel of g -> -g∘[·,·] is the
-    annihilator of L², so sdim B² = sdim L² parity by parity, and
-    sdim M_π = |C²_π| - rank_π(cocycle equations) - sdim L²_π, where
-    |C²| = bound(sdim L) counts the free pairs per parity.  Ranks do not
+    Per parity π, sdim Z²_π = |C²_π| - rank_π(cocycle equations), where
+    |C²| = bound(sdim L) counts the free pairs per parity.  On the parity-π
+    functionals, the kernel of g -> -g∘[·,·] is the annihilator of L², so
+    sdim B²_π = sdim L²_π, and sdim M_π is the difference.  Ranks do not
     change under a parity-preserving base change, so the equations are
     ranked by ``_adapted_equations``, on the conjugate adapted to L² that
     ``_adapted`` keeps on L (the Jacobi check has often built it), where they
     are sparse, or on L itself when L² has unit canonical rows.  A row's
     parity is its pivot's."""
-    count = list((bound(L.sdim) - derived_subalgebra(L).sdim).as_tuple())
+    z = list(bound(L.sdim).as_tuple())
     for pair in _adapted_equations(L).pivots():
-        count[_parity(L.parities, pair)] -= 1
-    return SuperDim(*count)
+        z[_parity(L.parities, pair)] -= 1
+    sdim_Z2, sdim_B2 = SuperDim(*z), derived_subalgebra(L).sdim
+    return sdim_Z2, sdim_B2, (sdim_Z2 - sdim_B2).to_superdim()
+
+
+def multiplier_sdim(L: LieSuperalgebra) -> SuperDim:
+    """sdim M(L), counted by ``_multiplier_count``."""
+    return _multiplier_count(L)[2]
 
 
 @dataclass(frozen=True, eq=False)

@@ -411,13 +411,62 @@ def _bracket(L: LieSuperalgebra, x: linalg.Row, y: linalg.Row) -> linalg.Row:
     return out
 
 
+def _act(terms) -> dict[int, linalg.Row]:
+    """{t: [x, e_t]} for x = Σ c y over pairs (c, {t: [y, e_t]}) whose
+    brackets are nonzero, with the zero brackets of x dropped: x is central
+    exactly when it is empty.  One pair with c = 1 is returned as it is, so
+    the result is read-only."""
+    terms = list(terms)
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    out: dict[int, linalg.Row] = {}
+    for c, action in terms:
+        for t, vec in action.items():
+            linalg._axpy(out.setdefault(t, {}), c, vec)
+    return {t: v for t, v in out.items() if v}
+
+
+def _action(L: LieSuperalgebra, w: Coeffs) -> dict[int, linalg.Row]:
+    """{t: [w, e_t]}, the nonzero brackets of w = Σ w_i e_i with the basis,
+    read off the stored table grouped once per algebra as
+    i -> {t: [e_i, e_t]}; the groups share the table's vectors, so they hold
+    no reference to L.  A central w costs O(nnz(w))."""
+    def group():
+        ad: dict[int, dict[int, linalg.Row]] = {}
+        for (i, t), vec in L._table.items():
+            ad.setdefault(i, {})[t] = vec
+        return ad
+    ad = _memo(L, "_ad", group)
+    return _act((c, ad[i]) for i, c in w if i in ad)
+
+
 def bracket_subspaces(L: LieSuperalgebra, U: Subspace, W: Subspace) -> Subspace:
-    """Span of all brackets [u, w] over spanning vectors of U and W."""
+    """Span of all brackets [u, w] over spanning vectors of U and W.
+
+    For homogeneous u and w, [u, w] = ±[w, u] = ±Σ_t u_t [w, e_t], so each
+    canonical row w of W is read once as its action {t: [w, e_t]}
+    (``_action``), and each row u of U spans Σ_t u_t [w, e_t]; a unit row
+    e_t reads [w, e_t] itself.  No pair of basis vectors is multiplied."""
     for S in (U, W):
         if S.parent is not L and S.parent != L:
             raise ParentMismatch("subspace does not belong to the algebra")
-    us, ws = [dict(u) for u in U.even + U.odd], [dict(w) for w in W.even + W.odd]
-    return Subspace._span_rows(L, (_bracket(L, u, w) for u in us for w in ws))
+    us = U.even + U.odd
+
+    def brackets():
+        for w in W.even + W.odd:
+            act = _action(L, w)
+            if not act:
+                continue
+            for u in us:
+                if len(u) == 1:  # a canonical unit row is e_t, its entry 1
+                    yield act.get(u[0][0])
+                    continue
+                v: linalg.Row = {}
+                for t, c in u:
+                    if t in act:
+                        linalg._axpy(v, c, act[t])
+                yield v
+    return Subspace._span_rows(L, brackets())
 
 
 def _memo(L: LieSuperalgebra, key: str, compute):
@@ -425,9 +474,10 @@ def _memo(L: LieSuperalgebra, key: str, compute):
     dict, as ``cached_property`` keeps ``_table``.
 
     Keep only values that do not refer back to L: row tuples, SuperDims,
-    ints, and algebras built from L's data such as the central quotient
-    L/Z(L) and the conjugate adapted to L² (or None), which keep L's labels
-    but no reference to L.  A Subspace points at L through ``parent``;
+    ints, the invariant report, the grouping of L's own table vectors, and
+    algebras built from L's data such as the central quotient L/Z(L) and
+    the conjugate adapted to L² (or None), which keep L's labels but no
+    reference to L.  A Subspace points at L through ``parent``;
     caching one would make a reference cycle, so L and its cache would
     outlive their last reference until a full garbage collection.
     """
@@ -458,8 +508,9 @@ def _ad_system(terms, modulo: linalg.Echelon) -> linalg.Echelon:
     the b_i in one have parity |e_k| + |e_t|, so each row, and each kernel
     vector, has the parity of its pivot."""
     eqs: dict[tuple[int, int], linalg.Row] = {}
+    reduce = modulo.reduce if len(modulo) else None  # the center: nothing to reduce by
     for i, t, row in terms:
-        for k, x in modulo.reduce(row).items():
+        for k, x in (reduce(row) if reduce else row).items():
             eqs.setdefault((t, k), {})[i] = x
     return linalg.Echelon(eqs.values())
 

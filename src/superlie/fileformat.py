@@ -106,14 +106,17 @@ def parse(text: str) -> LieSuperalgebra:
             written = tm.group(1)
             if not written:
                 coef = 1
-            elif "/" not in written:
-                coef = int(written)
             else:
-                num, den = map(int, written.split("/"))
-                if not den:
-                    raise ParseError(lineno, term_start + tm.start(1) + 1,
+                coef_col = term_start + tm.start(1) + 1
+                try:
+                    num, *den = map(int, written.split("/"))
+                except ValueError:  # more digits than Python's integer-string limit
+                    raise ParseError(lineno, coef_col, f"coefficient of {len(written)}"
+                                     " characters is too long") from None
+                if den == [0]:
+                    raise ParseError(lineno, coef_col,
                                      f"zero denominator in coefficient {written!r}")
-                coef = Fraction(num, den)
+                coef = Fraction(num, den[0]) if den else num
             ident = tm.group(2)
             columns.setdefault(ident, term_start + tm.start(2) + 1)
             term_start += len(term) + 1

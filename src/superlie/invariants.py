@@ -57,6 +57,12 @@ def sdr_report(L: LieSuperalgebra) -> tuple[SignedPair, int]:
 
 
 def report(L: LieSuperalgebra) -> InvariantReport:
+    """The invariants of L, computed once per algebra: the report holds
+    only SuperDims, pairs, ints and L's name, no reference to L."""
+    return core._memo(L, "_report", lambda: _report(L))
+
+
+def _report(L: LieSuperalgebra) -> InvariantReport:
     sdim_L = L.sdim
     sdim_L2 = core.derived_subalgebra(L).sdim
     sdim_Z = core.center(L).sdim
@@ -80,33 +86,14 @@ def report(L: LieSuperalgebra) -> InvariantReport:
     )
 
 
-def _act(terms) -> dict[int, linalg.Row]:
-    """{t: [x, e_t]} for x = Σ c y over pairs (c, {t: [y, e_t]}) whose
-    brackets are nonzero, with the zero brackets of x dropped: x is central
-    exactly when it is empty.  One pair with c = 1 is returned as it is, so
-    the result is read-only."""
-    terms = list(terms)
-    if len(terms) == 1 and terms[0][0] == 1:
-        return terms[0][1]
-    out: dict[int, linalg.Row] = {}
-    for c, action in terms:
-        for t, vec in action.items():
-            linalg._axpy(out.setdefault(t, {}), c, vec)
-    return {t: v for t, v in out.items() if v}
-
-
 def _z2_action_table(L: LieSuperalgebra):
     """(p, r_p, {t: [r_p, e_t]}) for each canonical row r_p of Z₂(L), p its
     pivot, in pivot order (even rows first), with only the nonzero brackets
-    kept.  The rows are the cached ``Coeffs`` of Z₂, and a unit row shares
-    the vectors of the stored table, so the table holds no reference to L
-    and copies little."""
+    kept, read by ``core._action``.  The rows are the cached ``Coeffs`` of
+    Z₂, and a unit row shares the vectors of the stored table, so the table
+    holds no reference to L and copies little."""
     Z2 = core.second_center(L)
-    ad: dict[int, dict[int, linalg.Row]] = {}  # i -> {t: [e_i, e_t]}
-    for (i, t), vec in L._table.items():
-        ad.setdefault(i, {})[t] = vec
-    return tuple((r[0][0], r, _act((c, ad.get(i, {})) for i, c in r))
-                 for r in Z2.even + Z2.odd)
+    return tuple((r[0][0], r, core._action(L, r)) for r in Z2.even + Z2.odd)
 
 
 def _z2_action(L: LieSuperalgebra):
@@ -138,7 +125,7 @@ def lambda_mu(L: LieSuperalgebra, z) -> tuple[SuperDim, SuperDim]:
     in_z2: linalg.Row = {}
     for c, row, _ in terms:
         linalg._axpy(in_z2, c, dict(row))
-    brackets = _act((c, action) for c, _, action in terms)
+    brackets = core._act((c, action) for c, _, action in terms)
     if in_z2 != zs or not brackets:
         raise NotInSecondCenterMinusCenter(
             "element must lie in the second center but not the center")
@@ -173,7 +160,12 @@ class BoundReport:
 
 def check_bounds(L: LieSuperalgebra) -> BoundReport:
     rep = report(L)
-    cap = core.derived_subalgebra(L).intersection(core.center(L)).sdim
+    # sdim(L² ∩ Z) = sdim L² + sdim Z - sdim(L² + Z), per parity: the rows of
+    # Z that an echelon of L² and Z's earlier rows already spans.  Parities
+    # never mix in one echelon, as their columns are disjoint.
+    L2, Z = core.derived_subalgebra(L), core.center(L)
+    ech = linalg.Echelon(map(dict, L2.even + L2.odd))
+    cap = SuperDim(*(sum(not ech.insert(dict(r)) for r in rows) for rows in (Z.even, Z.odd)))
     mq = _sdim_M(_central_quotient(L))
     return BoundReport(
         sdim_L=rep.sdim_L,

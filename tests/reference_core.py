@@ -51,6 +51,12 @@ that name, and tests check it against ``core._free_pairs``.
 ``free_two_step_cover`` is the hand-built layout of ``superlie.constructions``
 from before it became the relabelled cover candidate of Ab(m,n); its
 ``quotient`` is the one here.
+``bracket_subspaces`` is the pairwise body of ``superlie.core`` from
+before it read [L, X] off the stored bracket table: it brackets every pair
+of spanning rows through ``core._bracket``, and the ``derived_subalgebra``
+here goes through it.  ``central_derived_cap`` is ``check_bounds``'s former
+sdim(L² ∩ Z), read off ``Subspace.intersection``, before it was counted
+from one echelon of L² and Z.
 ``own_cocycle_basis`` is the one-system ``cohomology._cocycle_basis`` from
 before the system was solved on the conjugate adapted to L² and carried
 back: it solves L's own cocycle equations in L's basis.
@@ -83,7 +89,6 @@ from superlie.core import (
     _orient,
     _sign,
     _support_triples,
-    bracket_subspaces,
     center,
     validate,
 )
@@ -145,6 +150,20 @@ def intersection(self, other):
                     v = linalg.vec_add(v, linalg.vec_scale(a, row))
             out.append(v)
     return Subspace.span(self.parent, out)
+
+
+def bracket_subspaces(L: LieSuperalgebra, U: Subspace, W: Subspace) -> Subspace:
+    """Span of all brackets [u, w] over spanning vectors of U and W."""
+    for S in (U, W):
+        if S.parent is not L and S.parent != L:
+            raise ParentMismatch("subspace does not belong to the algebra")
+    us, ws = [dict(u) for u in U.even + U.odd], [dict(w) for w in W.even + W.odd]
+    return Subspace._span_rows(L, (_bracket(L, u, w) for u in us for w in ws))
+
+
+def central_derived_cap(L: LieSuperalgebra) -> SuperDim:
+    """sdim(L² ∩ Z(L)), as ``check_bounds`` read it off the intersection."""
+    return core.derived_subalgebra(L).intersection(core.center(L)).sdim
 
 
 def derived_subalgebra(L):

@@ -190,6 +190,30 @@ def test_validate_message_quotes_a_non_ascii_token(tmp_path, capsys, text, messa
     assert capsys.readouterr().out == f"parse error: {message}\n"
 
 
+@pytest.fixture
+def int_string_limit():
+    """Python's default limit of 4300 digits on int(str), restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python reads integer strings of any length")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("coefficient, message", [
+    ("-" + "1" * 5000, "coefficient of 5001 characters is too long"),
+    ("1/" + "1" * 5000, "coefficient of 5002 characters is too long"),
+], ids=["integer", "fraction"])
+def test_validate_locates_a_coefficient_past_the_integer_string_limit(
+        tmp_path, capsys, int_string_limit, coefficient, message):
+    """A coefficient that int() refuses to read is a located parse error."""
+    f = tmp_path / "big.lsa"
+    f.write_text(f'algebra "B"\neven x y z\nodd\n[x,y] = z + {coefficient} z\n')
+    assert main(["validate", str(f)]) == 2
+    assert capsys.readouterr().out == f"parse error: line 4, column 13: {message}\n"
+
+
 @pytest.mark.parametrize("size", ["0", "-3"])
 def test_verify_paper_rejects_empty_corpus(capsys, size):
     assert main(["verify-paper", "--corpus-size", size]) == 64

@@ -2,8 +2,10 @@
 one, and the identity it rests on: sdim B² = sdim L², parity by parity, as
 the kernel of g -> -g∘[·,·] is the annihilator of L².  Also the choice of
 basis it ranks the cocycle equations in: L itself when L² has unit canonical
-rows, else its conjugate in a basis adapted to L²."""
+rows, else its conjugate in a basis adapted to L².  ``superlie multiplier``
+without --cocycles prints the same count, Z² and B² included."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -12,10 +14,12 @@ import pytest
 
 from base_change import base_changed
 from superlie import cohomology, invariants
+from superlie.cli import main
 from superlie.cohomology import cover_candidate, multiplier, multiplier_sdim
 from superlie.constructions import builtin, free_two_step_cover, model_l4, model_registry
 from superlie.core import change_basis, derived_subalgebra
 from superlie.corpus import corpus
+from superlie.fileformat import emit
 from test_invariant_cache import ALGEBRAS, _fresh
 
 
@@ -122,3 +126,27 @@ def test_non_unit_rows_count_on_the_adapted_conjugate(monkeypatch, L):
     assert A is not L and A.structure_equals(change_basis(L, P))
     assert {k for _, vec in A.constants for k, _ in vec} <= {r[0][0] for r in rows}
     assert derived_subalgebra(A).sdim == derived_subalgebra(L).sdim and _unit_rows(A)
+
+
+COUNTED = {"algebras": ALGEBRAS, "corpus": [L for s in range(4) for L in corpus(s, 100)],
+           "rational": RATIONAL}
+
+
+@pytest.mark.parametrize("group", COUNTED)
+def test_multiplier_command_counts_without_cocycles(tmp_path, capsys, group):
+    """``multiplier`` without --cocycles prints the three counted pairs of
+    ``_multiplier_count``; they are the ones the built multiplier prints
+    with --cocycles, in plain text and in JSON."""
+    for n, L in enumerate(COUNTED[group]):
+        res = multiplier(L)
+        assert cohomology._multiplier_count(L) == (res.sdim_Z2, res.sdim_B2, res.sdim_M)
+        f = tmp_path / f"{n}.lsa"
+        f.write_text(emit(L))
+        out = {}
+        for flags in ((), ("--cocycles",), ("--json",), ("--json", "--cocycles")):
+            assert main(["multiplier", str(f), *flags]) == 0
+            out[flags] = capsys.readouterr().out
+        assert out[()] == "".join(out["--cocycles",].splitlines(keepends=True)[:3])
+        built = json.loads(out["--json", "--cocycles"])
+        assert len(built.pop("cocycles")) == res.sdim_M.total()
+        assert json.loads(out["--json",]) == built
