@@ -21,6 +21,12 @@ that rank; ``multiplier`` carries A's independent rows back to L's pairs
 (``_cocycle_system``).  f -> f∘(P×P) maps Z²(L) onto Z²(A), so the carried
 rows span L's own equations, and reduced echelon form is unique: the Z²
 basis and every representative are the ones L's own system gives.
+
+L's system is echelonized with each row pivoting on its last pair, the
+reduced echelon form for the reversed pair order, unique in either order.
+The kernel vector it gives at a free pair c has 1 at c and its other
+entries at later pivots, so the vectors read off the system are the
+canonical Z² basis in the usual order, with no second elimination.
 """
 
 from __future__ import annotations
@@ -134,17 +140,17 @@ def _adapted_equations(L: LieSuperalgebra) -> linalg.Echelon:
 
 
 def _cocycle_system(L: LieSuperalgebra) -> linalg.Echelon:
-    """The echelon of L's cocycle equations, from ``_adapted_equations``.
-    When A is not L, each of A's independent rows
+    """The last-pivot echelon of L's cocycle equations: of L's own
+    ``_cocycle_equations`` when L is adapted to L², and otherwise of the
+    rows of ``_adapted_equations`` carried back.  Each of A's independent rows
     sum_(a,b) c_ab g(b_a, b_b) = 0, b the basis of ``_adapted_basis``, is
     carried back to L's pairs as sum_(a,b) c_ab sum_(i,j) b_a[i] b_b[j]
     f(e_i, e_j) = 0, each f(e_i, e_j) oriented by ``_orient``, in integers
     scaled by the lcm of the d_a d_b it meets.  The module docstring says
     why the result is the echelon of L's own equations."""
-    ech = _adapted_equations(L)
     basis = _adapted_basis(L)
     if basis is None:
-        return ech
+        return linalg.Echelon(_cocycle_equations(L), last=True)
     p = L.parities
     col = [basis.get(i) or ({i: 1}, 1) for i in range(L.dim)]
 
@@ -163,14 +169,15 @@ def _cocycle_system(L: LieSuperalgebra) -> linalg.Echelon:
                         row[key] = row[key] + v if key in row else v
         return row
 
-    return linalg.Echelon(carried(w) for w in ech.integer_rows())
+    return linalg.Echelon((carried(w) for w in _adapted_equations(L).integer_rows()), last=True)
 
 
 def _cocycle_basis(L: LieSuperalgebra) -> list[linalg.Row]:
     """Canonical echelon basis of the cocycles of both parities, as sparse
-    rows by pivot.  Elimination only combines rows that share a pair, so the
-    rows of one parity are that parity's canonical basis."""
-    return _cocycle_system(L).kernel(_free_pairs(L.parities)).rows()
+    rows by pivot, read off the last-pivot ``_cocycle_system``.  Elimination
+    only combines rows that share a pair, so the rows of one parity are that
+    parity's canonical basis."""
+    return _cocycle_system(L).kernel_basis(_free_pairs(L.parities))
 
 
 def _coboundaries(L: LieSuperalgebra) -> list[dict[tuple[int, int], int]]:
@@ -201,7 +208,9 @@ def multiplier(L: LieSuperalgebra) -> MultiplierResult:
     Z² is solved in L's pairs from ``_cocycle_system``: the cocycle equations
     are ranked on the conjugate adapted to L² and only the independent ones
     are carried back, which gives exactly the echelon of L's own equations,
-    so the basis and the representatives do not depend on the route."""
+    so the basis and the representatives do not depend on the route.  The
+    canonical Z² basis is read off that echelon as integer rows, each led
+    by its free pair."""
     p = L.parities
     # B² plus the representatives so far, in one growing echelon
     acc = linalg.Echelon()
@@ -209,7 +218,7 @@ def multiplier(L: LieSuperalgebra) -> MultiplierResult:
     for k, row in enumerate(_coboundaries(L)):
         if acc.insert(row):
             b[p[k]] += 1
-    for zv in _cocycle_basis(L):
+    for zv, _ in _cocycle_system(L)._kernel_rows(_free_pairs(p)):
         z[_parity(p, next(iter(zv)))] += 1
         resid = acc.add(zv)
         if resid is not None:
@@ -307,7 +316,8 @@ class CentralExtension:
 
 
 def central_extension(L: LieSuperalgebra, chosen) -> CentralExtension:
-    """Extend L by one new central generator per chosen cocycle."""
+    """Extend L by one new central generator per chosen cocycle.  The
+    cocycles must belong to L and be independent modulo B²."""
     chosen = list(chosen)
     if any(f.parent != L for f in chosen):
         raise InvalidParams("cochain belongs to a different algebra")
@@ -315,7 +325,12 @@ def central_extension(L: LieSuperalgebra, chosen) -> CentralExtension:
     for f in chosen:
         if not acc.insert(dict(f.values)):
             raise DependentClasses("chosen classes are dependent modulo coboundaries")
+    return _extend(L, chosen)
 
+
+def _extend(L: LieSuperalgebra, chosen) -> CentralExtension:
+    """``central_extension`` of L by cocycles of L that are independent
+    modulo B², with no check."""
     ordered = sorted(chosen, key=lambda f: f.parity)  # stable: even classes first
     ne, no = L.n_even, L.n_odd
     co = sum(f.parity for f in chosen)
@@ -338,7 +353,8 @@ def central_extension(L: LieSuperalgebra, chosen) -> CentralExtension:
     labels = [*L.labels[:ne], *clabels[:ce], *L.labels[ne:], *clabels[ce:]]
 
     K = validate(parities, consts, name=f"Ext({L.name})", labels=labels)
-    M = Subspace._span_rows(K, ({g: 1} for g in gen_pos))
+    # gen_pos is increasing, so its unit rows are canonical, as in ``Subspace.full``
+    M = Subspace._canonical(K, [((g, Fraction(1)),) for g in gen_pos])
     stem_ok = derived_subalgebra(K).contains_subspace(M)
     # K = L ⊕ M as spaces, so projecting to L reads off the embedded coordinates
     proj = LinearMap(tuple(K.basis_vector(e) for e in emb))
@@ -347,5 +363,8 @@ def central_extension(L: LieSuperalgebra, chosen) -> CentralExtension:
 
 def cover_candidate(L: LieSuperalgebra) -> CentralExtension:
     """Central extension by a full set of class representatives; when the
-    stem condition holds this realizes the multiplier superdimension."""
-    return central_extension(L, multiplier(L).cocycle_basis)
+    stem condition holds this realizes the multiplier superdimension.
+    ``multiplier`` built each representative as a nonzero residual modulo
+    B² and the representatives before it, so they are independent modulo
+    B² and ``central_extension``'s check is skipped."""
+    return _extend(L, multiplier(L).cocycle_basis)

@@ -60,10 +60,18 @@ def _free_pairs(parities) -> list[tuple[int, int]]:
 
 
 def _int_table(L: LieSuperalgebra):
-    """(D, D·``L._table``), D the lcm of the constants' denominators."""
+    """(D, D·``L._table``), D the lcm of the constants' denominators, read
+    off ``L.constants``: one integer row per stored key (i, j), the same
+    row under (j, i) when ``_orient`` gives sign +1 and its negation
+    otherwise.  The rows are shared, so they are read-only."""
+    p = L.parities
     D = linalg._lcm(c.denominator for _, vec in L.constants for _, c in vec)
-    return D, {key: {k: c.numerator * (D // c.denominator) for k, c in vec.items()}
-               for key, vec in L._table.items()}
+    table = {}
+    for (i, j), vec in L.constants:  # an odd [e_i, e_i] has s = 1, one key
+        row = {k: c.numerator * (D // c.denominator) for k, c in vec}
+        _, s = _orient(p, j, i)
+        table[i, j], table[j, i] = row, row if s == 1 else {k: -x for k, x in row.items()}
+    return D, table
 
 
 def _support_triples(L: LieSuperalgebra, active: bool = False):

@@ -73,14 +73,15 @@ def parse(text: str) -> LieSuperalgebra:
                 raise ParseError(lineno, indent + 1, 'expected algebra "<name>"')
             name = m.group(1)
             continue
-        head, *tokens = re.finditer(r"\S+", line)
-        if head.group() in ("even", "odd"):
+        head = line.split(None, 1)[0]
+        if head in ("even", "odd"):
+            tokens = list(re.finditer(r"\S+", line))[1:]
             ids = [t.group() for t in tokens]
             for t in tokens:
                 if not re.fullmatch(_IDENT, t.group()):
                     raise ParseError(lineno, indent + t.start() + 1,
                                      f"bad identifier {t.group()!r}")
-            if head.group() == "even":
+            if head == "even":
                 if seen_even:
                     raise ParseError(lineno, indent + 1, "duplicate even section")
                 seen_even, even = True, ids

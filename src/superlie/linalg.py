@@ -5,7 +5,9 @@ growing span in reduced row echelon form, so callers can stream sparse
 vectors, ``{column: Fraction}`` dicts, into it one at a time and get each
 vector's residual back as it arrives.  Echelon forms are fully reduced with
 pivots normalized to 1 and rows ordered by pivot column, so a subspace has
-exactly one matrix representation and subspace equality is syntactic.
+exactly one matrix representation and subspace equality is syntactic.  A
+row's pivot is its first column, or its last one in an echelon built with
+``last=True``; reduced echelon form is unique in either order.
 
 Inside, the kernel is fraction-free: each row is an integer tail over one
 positive denominator, and reducing a vector is integer arithmetic.  Its
@@ -36,7 +38,8 @@ _ONE = Fraction(1)
 
 
 def unit_vec(n: int, i: int) -> Vec:
-    return tuple(_ONE if j == i else _ZERO for j in range(n))
+    """e_i of length n, for 0 <= i < n."""
+    return (_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - i - 1)
 
 
 # sparse row: column label -> nonzero entry; a dense vector's labels are its
@@ -55,7 +58,15 @@ class Echelon:
     The stored rows are sparse and kept fully reduced: every pivot is 1 and
     every row is zero in every other pivot column.  Reduced echelon form is
     unique, so the rows are the canonical basis of the span whatever order
-    the vectors arrived in.
+    the vectors arrived in.  A row pivots on its first column, or with
+    ``last=True`` on its last one: that is the reduced echelon form for the
+    reversed column order, unique as well, with every tail before its pivot.
+    Either way ``rows``, ``pivots``, ``integer_rows`` and the kernel vectors
+    come in column order, and each of ``rows`` has its entries in column
+    order.  For a last-pivot echelon the kernel vector at a
+    non-pivot column c has 1 at c and its other entries at later pivots, so
+    ``kernel_basis`` is already the canonical, first-pivot basis of the
+    kernel.
 
     The row with pivot p is stored as e_p + T_p / d_p: an integer tail T_p,
     in the non-pivot columns, and one denominator d_p > 0 with
@@ -68,15 +79,16 @@ class Echelon:
     stay cheap.
     """
 
-    __slots__ = ("_tails", "_dens", "_where")
+    __slots__ = ("_tails", "_dens", "_where", "_last")
 
-    def __init__(self, vectors=()):
+    def __init__(self, vectors=(), *, last: bool = False):
         # pivot column -> T_p, the row's integer tail, all in non-pivot columns;
         # the pivot entry itself is an implicit 1
         self._tails: dict[Hashable, dict[Hashable, int]] = {}
         self._dens: dict[Hashable, int] = {}  # pivot column -> d_p
         # non-pivot column -> the pivots whose tails hold it (never empty)
         self._where: dict[Hashable, set] = {}
+        self._last = last
         for v in vectors:
             self.insert(v)
 
@@ -140,7 +152,7 @@ class Echelon:
 
     def add(self, v: Row) -> Row | None:
         """Insert a sparse vector.  Return its residual modulo the span so
-        far, scaled to a leading entry of 1, or None if it is in the span."""
+        far, scaled to 1 at its pivot, or None if it is in the span."""
         lead = self._insert(v)
         if lead is None:
             return None
@@ -148,13 +160,14 @@ class Echelon:
 
     def _insert(self, v: Row) -> Hashable | None:
         """Store v's residual modulo the span, unless it is zero, as the row
-        of its leading column, clear that column from the rows that hold it,
-        and return the column; None if v is in the span."""
+        of its leading column (its last with ``last``), clear that column
+        from the rows that hold it, and return the column; None if v is in
+        the span."""
         w, _ = self._residual(v)
         if not w:
             return None
         tails, dens, where = self._tails, self._dens, self._where
-        lead = min(w)
+        lead = max(w) if self._last else min(w)
         a = w.pop(lead)
         g = _content(a, w.values()) * (1 if a > 0 else -1)
         d = a // g
@@ -195,8 +208,12 @@ class Echelon:
         rows = []
         for p in sorted(self._tails):
             tail = self._tails[p]  # often empty in a small algebra
-            rows.append({p: _ONE, **_fractions(sorted(tail.items()), self._dens[p])} if tail
-                        else {p: _ONE})
+            if not tail:
+                rows.append({p: _ONE})
+            elif self._last:
+                rows.append({**_fractions(sorted(tail.items()), self._dens[p]), p: _ONE})
+            else:
+                rows.append({p: _ONE, **_fractions(sorted(tail.items()), self._dens[p])})
         return rows
 
     def pivots(self) -> list[Hashable]:
@@ -205,7 +222,7 @@ class Echelon:
 
     def integer_rows(self) -> list[dict[Hashable, int]]:
         """The canonical basis scaled to primitive integer rows, by pivot
-        column: d_p at the pivot p and T_p after it, with no Fraction."""
+        column: d_p at the pivot p, first, and then T_p, with no Fraction."""
         return [{p: self._dens[p], **self._tails[p]} for p in sorted(self._tails)]
 
     def dense(self, ncols: int) -> list[Vec]:
@@ -216,8 +233,10 @@ class Echelon:
         """A basis of {x : r . x = 0 for every row r}, where x ranges over the
         vectors on the labels ``columns``, which must hold every column the
         rows use: for each non-pivot column c, in the order given, the vector
-        with 1 at c and minus row p's entry at c at each pivot p.  It is not
-        in echelon form; ``kernel`` gives the canonical one."""
+        with 1 at c and minus row p's entry at c at each pivot p.  For a
+        first-pivot echelon it is not in echelon form, and ``kernel`` gives
+        the canonical one; for a last-pivot echelon it is the canonical one
+        already."""
         return [_fractions(w.items(), m) for w, m in self._kernel_rows(columns)]
 
     def kernel(self, columns: Iterable[Hashable]) -> "Echelon":

@@ -59,7 +59,10 @@ sdim(L² ∩ Z), read off ``Subspace.intersection``, before it was counted
 from one echelon of L² and Z.
 ``own_cocycle_basis`` is the one-system ``cohomology._cocycle_basis`` from
 before the system was solved on the conjugate adapted to L² and carried
-back: it solves L's own cocycle equations in L's basis.
+back: it solves L's own cocycle equations in L's basis, and re-echelonizes
+the kernel vectors of that first-pivot echelon.
+``int_table`` is ``core._int_table`` from before it read the integer table
+off ``L.constants``: it scales the Fraction table ``L._table``.
 ``random_nilpotent`` is the corpus generator of ``superlie.corpus`` from
 before each ``corpus`` call kept one instance per distinct algebra: it
 solves ``multiplier`` on every algebra it builds, here the per-parity
@@ -120,6 +123,7 @@ linalg = SimpleNamespace(
     pivots=reference_linalg.pivots,
     invert=reference_linalg.invert,
     mat_vec=reference_linalg.mat_vec,
+    _lcm=_linalg._lcm,
 )
 
 
@@ -559,6 +563,13 @@ def multiplier(L: LieSuperalgebra) -> MultiplierResult:
         sdim_M=SuperDim(z_dims[0] - b_dims[0], z_dims[1] - b_dims[1]),
         cocycle_basis=tuple(reps),
     )
+
+
+def int_table(L: LieSuperalgebra):
+    """(D, D·``L._table``), D the lcm of the constants' denominators."""
+    D = linalg._lcm(c.denominator for _, vec in L.constants for _, c in vec)
+    return D, {key: {k: c.numerator * (D // c.denominator) for k, c in vec.items()}
+               for key, vec in L._table.items()}
 
 
 def own_cocycle_basis(L: LieSuperalgebra) -> list[linalg.Row]:

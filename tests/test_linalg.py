@@ -380,3 +380,45 @@ def test_echelon_on_pair_labels_matches_integer_labels(m):
 @given(st.lists(st.integers(1, 60), max_size=12))
 def test_running_lcm_matches_math_lcm(values):
     assert linalg._lcm(iter(values)) == math.lcm(1, *values)
+
+
+# -- the last-pivot echelon ---------------------------------------------------
+
+_PAIR_LABELS = [(i, j) for i in range(9) for j in range(i, 9)]  # 45 labels, sorted
+
+
+def _random_system(rng, cols):
+    """4-30 sparse integer rows over ``cols``, each with 1-4 entries in ±1..±3,
+    about a fifth of them integer combinations of two earlier rows, so the
+    rank often falls short of the row count."""
+    rows = []
+    for _ in range(rng.randint(4, 30)):
+        if rows and rng.random() < 0.2:
+            a, b, k = rng.choice(rows), rng.choice(rows), rng.choice((-2, -1, 1, 3))
+            row = {c: a.get(c, 0) + k * b.get(c, 0) for c in sorted({*a, *b})}
+            rows.append({c: x for c, x in row.items() if x})
+        else:
+            rows.append({c: rng.choice((-3, -2, -1, 1, 2, 3))
+                         for c in sorted(rng.sample(cols, rng.randint(1, 4)))})
+    return rows
+
+
+@pytest.mark.parametrize("labels", ["int", "pair"])
+@pytest.mark.parametrize("seed", range(40))
+def test_last_pivot_kernel_basis_is_the_canonical_kernel(seed, labels):
+    """A last-pivot echelon spans what the default one spans, its rows end at
+    their pivots, and its kernel vectors are the canonical kernel basis that
+    ``kernel`` re-echelonizes out of the default echelon's."""
+    rng = random.Random(seed)
+    ncols = rng.randint(6, 40)
+    cols = list(range(ncols)) if labels == "int" else _PAIR_LABELS[:ncols]
+    rows = _random_system(rng, cols)
+    last, first = linalg.Echelon(rows, last=True), linalg.Echelon(rows)
+    assert last.kernel_basis(cols) == first.kernel(cols).rows()
+    assert [next(iter(v)) for v in last.kernel_basis(cols)] == first.kernel(cols).pivots()
+    assert len(last) == len(first)
+    assert all(first.contains(r) for r in last.rows()) and all(last.contains(r) for r in first.rows())
+    assert last._where == _rebuilt_index(last)
+    for p, r, w in zip(last.pivots(), last.rows(), last.integer_rows()):
+        assert list(r) == sorted(r) and list(r)[-1] == p == max(w) and r[p] == 1
+        assert {c: F(x, w[p]) for c, x in w.items()} == r
