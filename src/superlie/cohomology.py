@@ -22,6 +22,14 @@ that rank; ``multiplier`` carries A's independent rows back to L's pairs
 rows span L's own equations, and reduced echelon form is unique: the Z²
 basis and every representative are the ones L's own system gives.
 
+Every input the paper computes a multiplier for in closed form has class 2
+with L² central, and then A's L² is span{e_s} over the indices s that its
+brackets touch.  A triple with an inactive index k (one in no stored key)
+keeps at most the term f([e_a, e_b], e_k), so over the stored pairs these
+triples only repeat the unit constraints f(e_s, e_k) = 0.
+``_cocycle_equations`` yields each of those once and walks the triples of
+active indices alone; the span, and so every echelon, is unchanged.
+
 L's system is echelonized with each row pivoting on its last pair, the
 reduced echelon form for the reversed pair order, unique in either order.
 The kernel vector it gives at a free pair c has 1 at c and its other
@@ -40,6 +48,8 @@ from .core import (
     LieSuperalgebra,
     LinearMap,
     Subspace,
+    _active,
+    _derived_central,
     _free_pairs,
     _int_table,
     _memo,
@@ -109,16 +119,54 @@ def _cochain(L: LieSuperalgebra, row: linalg.Row) -> Cochain2:
     return Cochain2(L, _parity(L.parities, values[0][0]), values)
 
 
+def _central_support(L: LieSuperalgebra) -> list[int] | None:
+    """S, the sorted indices in the support of a stored bracket, when L² is
+    central (``core._derived_central``) and spanned by the e_s, s in S, that
+    is, when the stored brackets have rank |S|; otherwise None.  Always a
+    list on A = ``_adapted(L) or L`` when L² is central."""
+    if not _derived_central(L):
+        return None
+    S = sorted({k for _, vec in L.constants for k, _ in vec})
+    if all(len(vec) == 1 for _, vec in L.constants):
+        return S  # each e_s is a stored bracket
+    rank = linalg.Echelon()
+    for _, vec in L.constants:
+        if len(rank) == len(S):
+            break
+        rank.insert(dict(vec))
+    return S if len(rank) == len(S) else None
+
+
 def _cocycle_equations(L: LieSuperalgebra):
-    """Yield one sparse linear constraint per basis triple over the free
-    coordinates (i, j), in integers: read off the table D·c of
-    ``_int_table``, it is D times the constraint on the constants c.  Each
-    is homogeneous, of the triple's total degree.  Triples outside
+    """Yield sparse integer rows over the free coordinates (i, j) that span
+    the cocycle equations.  A walked triple's row is read off the table D·c
+    of ``_int_table``, so it is D times the triple's constraint on the
+    constants c, homogeneous of the triple's total degree.  Triples outside
     ``_support_triples`` have no nonzero inner bracket, so they give no
-    constraint and are not visited."""
+    constraint and are not visited.  A one-entry row, the unit constraint
+    f(e_i, e_j) = 0, is yielded once per pair.
+
+    When ``_central_support`` gives S, only the triples of active indices
+    are walked, after one unit row at ``_orient(p, s, k)`` for each s in S
+    and each inactive k.  The span is the same: a triple with exactly one
+    inactive index k keeps only the term f([e_a, e_b], e_k), and over the
+    stored pairs (a, b) these span f(L², e_k) = span{f(e_s, e_k)}, as the
+    [e_a, e_b] span L² = span{e_s}; a triple with two or more inactive
+    indices has no nonzero inner bracket."""
     p = L.parities
     _, table = _int_table(L)
-    for i, j, k in _support_triples(L):
+    units: set[tuple[int, int]] = set()  # the pairs of the one-entry rows yielded
+    S = _central_support(L)
+    if S is not None:
+        active = _active(L)
+        inactive = [k for k in range(L.dim) if k not in active]
+        for s in S:
+            for k in inactive:
+                # s is inactive too, so (s, k) and (k, s) may both come
+                if (o := _orient(p, s, k)) and o[0] not in units:
+                    units.add(o[0])
+                    yield {o[0]: 1}
+    for i, j, k in _support_triples(L, active=S is not None):
         row: dict[tuple[int, int], int] = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
             if vec := table.get((a, b)):
@@ -129,6 +177,11 @@ def _cocycle_equations(L: LieSuperalgebra):
                     if t:
                         v = cm if t == s else -cm
                         row[key] = row[key] + v if key in row else v
+        if len(row) == 1:
+            [(key, v)] = row.items()
+            if not v or key in units:
+                continue
+            units.add(key)
         if row:
             yield row
 
@@ -170,14 +223,6 @@ def _cocycle_system(L: LieSuperalgebra) -> linalg.Echelon:
         return row
 
     return linalg.Echelon((carried(w) for w in _adapted_equations(L).integer_rows()), last=True)
-
-
-def _cocycle_basis(L: LieSuperalgebra) -> list[linalg.Row]:
-    """Canonical echelon basis of the cocycles of both parities, as sparse
-    rows by pivot, read off the last-pivot ``_cocycle_system``.  Elimination
-    only combines rows that share a pair, so the rows of one parity are that
-    parity's canonical basis."""
-    return _cocycle_system(L).kernel_basis(_free_pairs(L.parities))
 
 
 def _coboundaries(L: LieSuperalgebra) -> list[dict[tuple[int, int], int]]:

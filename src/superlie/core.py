@@ -74,24 +74,41 @@ def _int_table(L: LieSuperalgebra):
     return D, table
 
 
+def _active(L: LieSuperalgebra) -> set[int]:
+    """The active indices: those in some stored key.  Every other e_k
+    brackets to zero with everything."""
+    return {x for (a, b), _ in L.constants for x in (a, b)}
+
+
+def _derived_central(L: LieSuperalgebra) -> bool:
+    """Whether no index in the support of a stored bracket is active.  Then
+    every bracket lies on basis vectors that bracket to zero with
+    everything, so L² is central."""
+    active = _active(L)
+    return not any(k in active for _, vec in L.constants for k, _ in vec)
+
+
 def _support_triples(L: LieSuperalgebra, active: bool = False):
     """Yield, in sorted order, the triples i <= j <= k for which (i, j),
     (j, k) or (i, k) is a stored constant key; with ``active``, only those
-    whose three indices are all active, that is, each in some stored key.
+    whose three indices are all active (``_active``).
 
     Every other triple has the three inner brackets [e_i, e_j], [e_j, e_k]
     and [e_k, e_i] all zero, so its Jacobi term and its 2-cocycle equation
     are empty.  A stored pair (i, j) yields every k >= j at once; any other
     pair yields the stored neighbours k >= j of i and of j, merged.  So no
     triple comes twice, and the cost is O(d² + output).  An inactive index
-    brackets to zero with everything, so the Jacobi check may skip it; the
-    cocycle equations may not, as f([e_i, e_j], e_k) = 0 constrains f.
+    brackets to zero with everything, so the Jacobi check may skip it.  A
+    triple with one inactive index k keeps one cocycle term,
+    f([e_i, e_j], e_k) = 0, and the cocycle equations skip such triples only
+    where L² is central and spanned by basis vectors, which makes those
+    terms unit constraints (``cohomology._cocycle_equations``).
     """
     d = L.dim
     up: list[list[int]] = [[] for _ in range(d)]  # up[a]: every b with (a, b) stored
     for (a, b), _ in L.constants:  # strictly increasing keys
         up[a].append(b)
-    idx = sorted({x for (a, b), _ in L.constants for x in (a, b)}) if active else range(d)
+    idx = sorted(_active(L)) if active else range(d)
     for n, i in enumerate(idx):
         ui, t = up[i], 0
         for m, j in enumerate(idx[n:], n):
@@ -156,22 +173,20 @@ class LieSuperalgebra:
                     raise GradingError(i, j, k, self.labels)
 
     def _check_jacobi(self):
-        # (1) If no index in the support of a stored bracket occurs in a
-        # stored key, every bracket lies on basis vectors that bracket to
-        # zero with everything: L² is central, each [[x, y], z] vanishes and
-        # the identity holds.  (2) If L² has a non-unit canonical row, the
-        # identity, being trilinear, holds iff it holds on the conjugate
-        # adapted to L² (``cohomology._adapted``, kept for the cocycle
-        # system, and built by ``linalg._transport`` as ``change_basis``
-        # is), whose L² has unit rows, so its check ends in (1) or (3); on
-        # failure (3) still reports L's own first failing triple.  (3) Walk
+        # (1) If ``_derived_central`` holds, L² is central, each
+        # [[x, y], z] vanishes and the identity holds.  (2) If L² has a
+        # non-unit canonical row, the identity, being trilinear, holds iff
+        # it holds on the conjugate adapted to L² (``cohomology._adapted``,
+        # kept for the cocycle system, and built by ``linalg._transport`` as
+        # ``change_basis`` is), whose L² has unit rows, so its check ends in
+        # (1) or (3); on failure (3) still reports L's own first failing
+        # triple.  (3) Walk
         # the sorted triples i <= j <= k, enough by graded skew-symmetry, of
         # active indices only, as a nonzero term needs all three.  The
         # identity is homogeneous of degree 2 in the constants, so it is
         # summed in integers on the table D·c of ``_int_table``, and a
         # residual is scaled back by D².
-        keys = {x for (a, b), _ in self.constants for x in (a, b)}
-        if not any(k in keys for _, vec in self.constants for k, _ in vec):
+        if _derived_central(self):
             return
         from .cohomology import _adapted  # cohomology imports this module
         try:

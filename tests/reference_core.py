@@ -38,7 +38,7 @@ former ``LinearMap.__call__`` did.  Tests compare ``second_center``,
 ``direct_sum``, ``check_jacobi``, ``cocycle_equations``, ``Cochain2.plus``,
 ``basis_bracket``, ``cochain_pairs``, ``Cochain2.__call__``, ``quotient``,
 ``change_basis``, ``Subspace.span`` and ``_ad_kernel`` against these, and
-``multiplier``, its Z² and B² bases (``cohomology._cocycle_basis`` and
+``multiplier``, its Z² and B² bases (``system_cocycle_basis`` below and
 the echelon of ``_coboundaries``) and ``central_extension``'s check against
 the per-parity passes, which are named without the leading underscore
 (``cocycle_equations_of_parity`` is the former ``_cocycle_equations``,
@@ -57,10 +57,17 @@ of spanning rows through ``core._bracket``, and the ``derived_subalgebra``
 here goes through it.  ``central_derived_cap`` is ``check_bounds``'s former
 sdim(L² ∩ Z), read off ``Subspace.intersection``, before it was counted
 from one echelon of L² and Z.
+``full_walk_cocycle_equations`` is ``cohomology._cocycle_equations`` from
+before it skipped the triples with an inactive index where L² is central
+and spanned by basis vectors: it yields one integer row per support triple,
+repeated unit constraints included.
 ``own_cocycle_basis`` is the one-system ``cohomology._cocycle_basis`` from
 before the system was solved on the conjugate adapted to L² and carried
-back: it solves L's own cocycle equations in L's basis, and re-echelonizes
-the kernel vectors of that first-pivot echelon.
+back: it solves L's own cocycle equations (the full walk above) in L's
+basis, and re-echelonizes the kernel vectors of that first-pivot echelon.
+``system_cocycle_basis`` is ``cohomology._cocycle_basis`` from before it
+was retired, when no library path called it any more: the canonical Z²
+basis read off the last-pivot ``_cocycle_system``.
 ``int_table`` is ``core._int_table`` from before it read the integer table
 off ``L.constants``: it scales the Fraction table ``L._table``.
 ``random_nilpotent`` is the corpus generator of ``superlie.corpus`` from
@@ -79,7 +86,7 @@ from types import SimpleNamespace
 import reference_linalg
 from superlie import core
 from superlie import linalg as _linalg
-from superlie.cohomology import Cochain2, MultiplierResult, _cocycle_equations, central_extension
+from superlie.cohomology import Cochain2, MultiplierResult, _cocycle_system, central_extension
 from superlie.constructions import abelian
 from superlie.corpus import MAX_EVEN, MAX_ODD, _random_fraction
 from superlie.core import (
@@ -89,6 +96,7 @@ from superlie.core import (
     Subspace,
     _bracket,
     _free_pairs,
+    _int_table,
     _orient,
     _sign,
     _support_triples,
@@ -572,11 +580,43 @@ def int_table(L: LieSuperalgebra):
                for key, vec in L._table.items()}
 
 
+def full_walk_cocycle_equations(L: LieSuperalgebra):
+    """Yield one sparse linear constraint per basis triple over the free
+    coordinates (i, j), in integers: read off the table D·c of
+    ``_int_table``, it is D times the constraint on the constants c.  Each
+    is homogeneous, of the triple's total degree.  Triples outside
+    ``_support_triples`` have no nonzero inner bracket, so they give no
+    constraint and are not visited."""
+    p = L.parities
+    _, table = _int_table(L)
+    for i, j, k in _support_triples(L):
+        row: dict[tuple[int, int], int] = {}
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            if vec := table.get((a, b)):
+                s = _sign(p[a], p[c])
+                for m, cm in vec.items():
+                    # f(e_m, e_c) in terms of the free coordinates (0 for an even m == c)
+                    key, t = _orient(p, m, c) or (None, 0)
+                    if t:
+                        v = cm if t == s else -cm
+                        row[key] = row[key] + v if key in row else v
+        if row:
+            yield row
+
+
 def own_cocycle_basis(L: LieSuperalgebra) -> list[linalg.Row]:
     """Canonical echelon basis of the cocycles of both parities, as sparse
     rows by pivot.  Elimination only combines rows that share a pair, so the
     rows of one parity are that parity's canonical basis."""
-    return linalg.Echelon(_cocycle_equations(L)).kernel(_free_pairs(L.parities)).rows()
+    return linalg.Echelon(full_walk_cocycle_equations(L)).kernel(_free_pairs(L.parities)).rows()
+
+
+def system_cocycle_basis(L: LieSuperalgebra) -> list[linalg.Row]:
+    """Canonical echelon basis of the cocycles of both parities, as sparse
+    rows by pivot, read off the last-pivot ``_cocycle_system``.  Elimination
+    only combines rows that share a pair, so the rows of one parity are that
+    parity's canonical basis."""
+    return _cocycle_system(L).kernel_basis(_free_pairs(L.parities))
 
 
 def check_independent(L: LieSuperalgebra, chosen) -> None:

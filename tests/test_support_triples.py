@@ -11,7 +11,9 @@ passes: the same superdimensions, representatives, cocycle and coboundary
 bases, and independence verdicts.  And the Jacobi check's walk over the
 triples of active indices, summed in integers: the same triples as the
 support triples with all three indices active, and the same first failing
-triple and residual; the cocycle equations keep every support triple."""
+triple and residual; the cocycle equations keep the constraint of every
+support triple, walking those with an inactive index unless L² is central
+and spanned by basis vectors."""
 
 import itertools
 import math
@@ -29,6 +31,7 @@ from superlie.constructions import (
     free_two_step_cover,
     heisenberg_even,
     heisenberg_odd,
+    model_l4,
     model_registry,
 )
 from superlie.corpus import corpus
@@ -124,10 +127,8 @@ def test_multiplier_keeps_the_constraints_of_inactive_indices():
     assert cohomology.multiplier(L).sdim_M.as_tuple() == (4, 0)
 
 
-def test_cocycle_walk_visits_triples_with_an_inactive_index():
-    L = core.direct_sum(heisenberg_even(1, 0), abelian(1, 0))  # u, v, z, a: [u, v] = z
-    inactive = set(range(L.dim)) - _active(L)
-    assert inactive == {2, 3}
+def _walked_by_equations(L):
+    """The equations of L, and the triples ``_cocycle_equations`` walked."""
     walked = []
 
     def recorded(L, *args, **kwargs):
@@ -137,9 +138,23 @@ def test_cocycle_walk_visits_triples_with_an_inactive_index():
 
     with mock.patch.object(cohomology, "_support_triples", recorded):
         equations = list(cohomology._cocycle_equations(L))
-    assert walked == list(core._support_triples(L))
-    assert (0, 1, 3) in walked
-    assert {(2, 3): F(1)} in equations  # from the triple (u, v, a)
+    return equations, walked
+
+
+def test_cocycle_walk_visits_triples_with_an_inactive_index():
+    L = core.direct_sum(heisenberg_even(1, 0), abelian(1, 0))  # u, v, z, a: [u, v] = z
+    inactive = set(range(L.dim)) - _active(L)
+    assert inactive == {2, 3}
+    # L² = span{z} is central: (u, v, a) is not walked, but its unit row is kept
+    equations, walked = _walked_by_equations(L)
+    assert (0, 1, 3) not in walked
+    assert {(2, 3): 1} in equations  # f([u, v], a) = f(z, a), from the triple (u, v, a)
+    # class 3: every support triple is walked, those with an inactive index too
+    M = core.direct_sum(model_l4(), abelian(1, 0))
+    assert set(range(M.dim)) - _active(M) == {3, 4}  # t of L4, and a
+    _, walked = _walked_by_equations(M)
+    assert walked == list(core._support_triples(M))
+    assert any(4 in t for t in walked)
 
 
 @pytest.mark.parametrize("L", ALGEBRAS, ids=lambda L: f"{L.name}-{L.dim}")
@@ -162,18 +177,21 @@ def _of_parity(L, rows, parity):
 
 @pytest.mark.parametrize("L", ALGEBRAS, ids=lambda L: f"{L.name}-{L.dim}")
 def test_cocycle_equations_and_basis_match_reference(L):
-    """Each equation is D times the reference row, entry by entry, in ints."""
+    """The equations, in ints, span the reference's parity by parity; the
+    full walk they replace is D times the reference row, entry by entry."""
     equations = list(cohomology._cocycle_equations(L))
     assert all(type(x) is int for row in equations for x in row.values())
-    basis = cohomology._cocycle_basis(L)
+    full = list(reference.full_walk_cocycle_equations(L))
+    basis = reference.system_cocycle_basis(L)
     D = math.lcm(*(c.denominator for _, vec in L.constants for _, c in vec))
     for parity in (0, 1):
         col = _cols(L, parity)
-        scaled = [{c: D * x for c, x in row.items()}
-                  for row in reference.cocycle_equations(L, parity, col)]
-        assert _of_parity(L, equations, parity) == _by_pair(L, parity, scaled)
-        ref = Echelon(Echelon(reference.cocycle_equations(L, parity, col))
-                      .kernel_basis(range(len(col))))
+        rows = list(reference.cocycle_equations(L, parity, col))
+        scaled = [{c: D * x for c, x in row.items()} for row in rows]
+        assert _of_parity(L, full, parity) == _by_pair(L, parity, scaled)
+        assert (Echelon(_of_parity(L, equations, parity)).rows()
+                == Echelon(_by_pair(L, parity, rows)).rows())
+        ref = Echelon(Echelon(rows).kernel_basis(range(len(col))))
         assert _of_parity(L, basis, parity) == _by_pair(L, parity, ref.rows())
 
 
@@ -185,7 +203,7 @@ def test_multiplier_matches_per_parity_reference(L):
     assert res.sdim_M == ref.sdim_M
     assert res.cocycle_basis == ref.cocycle_basis  # values and order
     # the canonical Z² and B² bases behind them, as cochains in pivot order
-    cocycles = cohomology._cocycle_basis(L)
+    cocycles = reference.system_cocycle_basis(L)
     coboundaries = Echelon(cohomology._coboundaries(L)).rows()
     for parity in (0, 1):
         assert ([cohomology._cochain(L, r) for r in _of_parity(L, cocycles, parity)]
@@ -198,9 +216,9 @@ def test_multiplier_matches_per_parity_reference(L):
 def test_multiplier_walks_the_support_triples_once(L):
     walks = []
 
-    def counted(L):
+    def counted(L, active=False):
         walks.append(L)
-        return core._support_triples(L)
+        return core._support_triples(L, active)
 
     with mock.patch.object(cohomology, "_support_triples", counted):
         cohomology.multiplier(L)
