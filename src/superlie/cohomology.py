@@ -12,15 +12,17 @@ Both parities are solved as one linear system over the free pairs (i, j).
 They use disjoint pairs and every equation and row is homogeneous, so
 elimination never mixes them; a row's parity is its first pair's.
 
-The system is ranked on A, the conjugate adapted to L² (``_adapted``, read
-off ``linalg._transport`` as ``core.change_basis`` is), or on L itself when
-L²'s canonical rows are unit vectors.  In A every bracket lies on unit
-vectors, so its equations are sparse where a dense L's are not, and the rank
-per parity is the same.  ``_multiplier_count`` reads sdim Z², B² and M off
-that rank; ``multiplier`` carries A's independent rows back to L's pairs
-(``_cocycle_system``).  f -> f∘(P×P) maps Z²(L) onto Z²(A), so the carried
-rows span L's own equations, and reduced echelon form is unique: the Z²
-basis and every representative are the ones L's own system gives.
+The system is built once, as a last-pivot echelon (``_adapted_equations``)
+of the equations of A, the conjugate adapted to L² (``_adapted``, read off
+``linalg._transport`` as ``core.change_basis`` is), or of L's own when L²'s
+canonical rows are unit vectors.  In A every bracket lies on unit vectors,
+so its equations are sparse where a dense L's are not, and the rank per
+parity is the same: ``_multiplier_count`` reads sdim Z², B² and M off its
+pivots.  ``multiplier`` carries A's raw equations to L's pairs and
+echelonizes them there (``_cocycle_system``).  f -> f∘(P×P) maps Z²(L) onto
+Z²(A) and carrying is linear, so the carried rows span L's own equations,
+and reduced echelon form is unique: the Z² basis and every representative
+are the ones L's own system gives.
 
 Every input the paper computes a multiplier for in closed form has class 2
 with L² central, and then A's L² is span{e_s} over the indices s that its
@@ -187,24 +189,24 @@ def _cocycle_equations(L: LieSuperalgebra):
 
 
 def _adapted_equations(L: LieSuperalgebra) -> linalg.Echelon:
-    """The echelon of the cocycle equations of A = ``_adapted(L) or L``:
-    sparse where L's own are dense, and of the same rank per parity."""
-    return linalg.Echelon(_cocycle_equations(_adapted(L) or L))
+    """The last-pivot echelon of the cocycle equations of A = ``_adapted(L)
+    or L``: sparse where L's own are dense, and of the same rank per parity."""
+    return linalg.Echelon(_cocycle_equations(_adapted(L) or L), last=True)
 
 
 def _cocycle_system(L: LieSuperalgebra) -> linalg.Echelon:
-    """The last-pivot echelon of L's cocycle equations: of L's own
-    ``_cocycle_equations`` when L is adapted to L², and otherwise of the
-    rows of ``_adapted_equations`` carried back.  Each of A's independent rows
-    sum_(a,b) c_ab g(b_a, b_b) = 0, b the basis of ``_adapted_basis``, is
-    carried back to L's pairs as sum_(a,b) c_ab sum_(i,j) b_a[i] b_b[j]
-    f(e_i, e_j) = 0, each f(e_i, e_j) oriented by ``_orient``, in integers
-    scaled by the lcm of the d_a d_b it meets.  The module docstring says
-    why the result is the echelon of L's own equations."""
-    basis = _adapted_basis(L)
-    if basis is None:
-        return linalg.Echelon(_cocycle_equations(L), last=True)
+    """The last-pivot echelon of L's cocycle equations: ``_adapted_equations``
+    when L is adapted to L², else that of A's raw equations carried back.
+    Each sum_(a,b) c_ab g(b_a, b_b) = 0, b the basis of ``_adapted_basis``,
+    is carried to sum_(a,b) c_ab sum_(i,j) b_a[i] b_b[j] f(e_i, e_j) = 0,
+    each f(e_i, e_j) oriented by ``_orient``, in integers scaled by the lcm
+    of the d_a d_b it meets; the echelon skips entries that cancel to zero.
+    The module docstring says why this is the echelon of L's own system."""
+    A = _adapted(L)
+    if A is None:
+        return _adapted_equations(L)
     p = L.parities
+    basis = _adapted_basis(L)
     col = [basis.get(i) or ({i: 1}, 1) for i in range(L.dim)]
 
     def carried(w):
@@ -222,7 +224,7 @@ def _cocycle_system(L: LieSuperalgebra) -> linalg.Echelon:
                         row[key] = row[key] + v if key in row else v
         return row
 
-    return linalg.Echelon((carried(w) for w in _adapted_equations(L).integer_rows()), last=True)
+    return linalg.Echelon((carried(w) for w in _cocycle_equations(A)), last=True)
 
 
 def _coboundaries(L: LieSuperalgebra) -> list[dict[tuple[int, int], int]]:
@@ -250,9 +252,9 @@ def multiplier(L: LieSuperalgebra) -> MultiplierResult:
     canonical class representatives: each parity's residuals in pivot order,
     even first.
 
-    Z² is solved in L's pairs from ``_cocycle_system``: the cocycle equations
-    are ranked on the conjugate adapted to L² and only the independent ones
-    are carried back, which gives exactly the echelon of L's own equations,
+    Z² is solved in L's pairs from ``_cocycle_system``: the raw equations of
+    the conjugate adapted to L², where they are sparse, are carried back and
+    echelonized once, which gives exactly the echelon of L's own equations,
     so the basis and the representatives do not depend on the route.  The
     canonical Z² basis is read off that echelon as integer rows, each led
     by its free pair."""
@@ -322,11 +324,11 @@ def _multiplier_count(L: LieSuperalgebra) -> tuple[SuperDim, SuperDim, SuperDim]
     |C²| = bound(sdim L) counts the free pairs per parity.  On the parity-π
     functionals, the kernel of g -> -g∘[·,·] is the annihilator of L², so
     sdim B²_π = sdim L²_π, and sdim M_π is the difference.  Ranks do not
-    change under a parity-preserving base change, so the equations are
-    ranked by ``_adapted_equations``, on the conjugate adapted to L² that
-    ``_adapted`` keeps on L (the Jacobi check has often built it), where they
-    are sparse, or on L itself when L² has unit canonical rows.  A row's
-    parity is its pivot's."""
+    change under a parity-preserving base change, so they are read off the
+    last-pivot echelon of ``_adapted_equations``, on the conjugate adapted to
+    L² that ``_adapted`` keeps on L (the Jacobi check has often built it),
+    where the equations are sparse, or on L itself when L² has unit
+    canonical rows.  A row's parity is its pivot's."""
     z = list(bound(L.sdim).as_tuple())
     for pair in _adapted_equations(L).pivots():
         z[_parity(L.parities, pair)] -= 1

@@ -74,10 +74,10 @@ def _int_table(L: LieSuperalgebra):
     return D, table
 
 
-def _active(L: LieSuperalgebra) -> set[int]:
-    """The active indices: those in some stored key.  Every other e_k
-    brackets to zero with everything."""
-    return {x for (a, b), _ in L.constants for x in (a, b)}
+def _active(L: LieSuperalgebra) -> frozenset[int]:
+    """The active indices: those in some stored key, computed once per
+    algebra.  Every other e_k brackets to zero with everything."""
+    return _memo(L, "_active", lambda: frozenset(x for (a, b), _ in L.constants for x in (a, b)))
 
 
 def _derived_central(L: LieSuperalgebra) -> bool:
@@ -497,12 +497,12 @@ def _memo(L: LieSuperalgebra, key: str, compute):
     dict, as ``cached_property`` keeps ``_table``.
 
     Keep only values that do not refer back to L: row tuples, SuperDims,
-    ints, the invariant report, the grouping of L's own table vectors, and
-    algebras built from L's data such as the central quotient L/Z(L) and
-    the conjugate adapted to L² (or None), which keep L's labels but no
-    reference to L.  A Subspace points at L through ``parent``;
-    caching one would make a reference cycle, so L and its cache would
-    outlive their last reference until a full garbage collection.
+    ints, frozen index sets, the invariant report, the grouping of L's own
+    table vectors, and algebras built from L's data such as the central
+    quotient L/Z(L) and the conjugate adapted to L² (or None), which keep
+    L's labels but no reference to L.  A Subspace points at L through
+    ``parent``; caching one would make a reference cycle, so L and its cache
+    would outlive their last reference until a full garbage collection.
     """
     cache = vars(L)
     if key not in cache:

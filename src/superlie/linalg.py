@@ -61,12 +61,11 @@ class Echelon:
     the vectors arrived in.  A row pivots on its first column, or with
     ``last=True`` on its last one: that is the reduced echelon form for the
     reversed column order, unique as well, with every tail before its pivot.
-    Either way ``rows``, ``pivots``, ``integer_rows`` and the kernel vectors
-    come in column order, and each of ``rows`` has its entries in column
-    order.  For a last-pivot echelon the kernel vector at a
-    non-pivot column c has 1 at c and its other entries at later pivots, so
-    ``kernel_basis`` is already the canonical, first-pivot basis of the
-    kernel.
+    Either way ``rows``, ``pivots`` and the kernel vectors come in column
+    order, and each of ``rows`` has its entries in column order.  For a
+    last-pivot echelon the kernel vector at a non-pivot column c has 1 at c
+    and its other entries at later pivots, so ``kernel_basis`` is already
+    the canonical, first-pivot basis of the kernel.
 
     The row with pivot p is stored as e_p + T_p / d_p: an integer tail T_p,
     in the non-pivot columns, and one denominator d_p > 0 with
@@ -219,11 +218,6 @@ class Echelon:
     def pivots(self) -> list[Hashable]:
         """The pivot columns, in column order."""
         return sorted(self._tails)
-
-    def integer_rows(self) -> list[dict[Hashable, int]]:
-        """The canonical basis scaled to primitive integer rows, by pivot
-        column: d_p at the pivot p, first, and then T_p, with no Fraction."""
-        return [{p: self._dens[p], **self._tails[p]} for p in sorted(self._tails)]
 
     def dense(self, ncols: int) -> list[Vec]:
         """The canonical basis as dense rows of length ncols."""

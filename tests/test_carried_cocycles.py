@@ -6,7 +6,8 @@ f -> f∘(P×P) maps Z²(L) onto Z²(A), A = ``cohomology._adapted(L) or L``, so
 the carried rows span L's own equations: the echelon, the cocycle basis and
 every ``MultiplierResult`` field come out the same.  The inputs are seeded
 rational conjugates, whose L² mostly has non-unit canonical rows, so most
-of them take the carried path."""
+of them take the carried path, and the class-3 Cover(Cover(H(2))) under the
+dense-frontier P."""
 
 import random
 
@@ -18,6 +19,7 @@ from superlie.cohomology import cover_candidate, multiplier
 from superlie.constructions import abelian, builtin, model_l4, model_registry
 from superlie.core import change_basis
 from superlie.corpus import corpus
+from test_multiplier_count import _unitriangular_conjugate
 from test_support_triples import _rational_base_change
 
 
@@ -30,7 +32,8 @@ def _conjugates():
     algebras = (model_registry() + corpus(3, 60)
                 + [model_l4(), _cover(builtin("H(2)")), _cover(_cover(builtin("H(1,0)"))),
                    _cover(abelian(2, 2))])
-    return [change_basis(L, _rational_base_change(rng, L)) for L in algebras for _ in range(4)]
+    conjugates = [change_basis(L, _rational_base_change(rng, L)) for L in algebras for _ in range(4)]
+    return conjugates + [_unitriangular_conjugate(_cover(_cover(builtin("H(2)"))))]
 
 
 CONJUGATES = _conjugates()
@@ -46,7 +49,8 @@ def test_carried_system_is_the_own_system(C):
     own = linalg.Echelon(cohomology._cocycle_equations(C), last=True)
     assert cohomology._cocycle_system(C).rows() == own.rows()
     assert reference.system_cocycle_basis(C) == reference.own_cocycle_basis(C)
-    # the rank per parity, which ``multiplier_sdim`` reads off A's pivots
+    # the rank per parity, which ``multiplier_sdim`` reads off the pivots of
+    # the one count echelon, the last-pivot echelon of A's equations
     parities = [sorted(cohomology._parity(C.parities, q) for q in ech.pivots())
                 for ech in (cohomology._adapted_equations(C), own)]
     assert parities[0] == parities[1]

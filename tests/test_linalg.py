@@ -270,19 +270,6 @@ def test_stored_rows_are_primitive_and_canonical(m, data):
     assert ech.contains(linalg.sparse(v)) == (not resid)
 
 
-@given(st.one_of(matrices(), wide_matrices()))
-def test_integer_rows_are_the_canonical_rows_scaled(m):
-    """Each integer row is a positive multiple of the canonical row with the
-    same pivot, primitive, and made of ints."""
-    rows, _ = m
-    ech = linalg.Echelon(linalg.sparse(v) for v in rows)
-    ints = ech.integer_rows()
-    assert ech.pivots() == [next(iter(r)) for r in ech.rows()] == [next(iter(w)) for w in ints]
-    for w, r in zip(ints, ech.rows()):
-        assert all(type(x) is int for x in w.values()) and math.gcd(*w.values()) == 1
-        assert w[next(iter(w))] > 0 and {c: F(x, w[next(iter(w))]) for c, x in w.items()} == r
-
-
 @given(wide_matrices(), st.data())
 def test_wide_denominators_match_reference(m, data):
     rows, ncols = m
@@ -419,6 +406,8 @@ def test_last_pivot_kernel_basis_is_the_canonical_kernel(seed, labels):
     assert len(last) == len(first)
     assert all(first.contains(r) for r in last.rows()) and all(last.contains(r) for r in first.rows())
     assert last._where == _rebuilt_index(last)
-    for p, r, w in zip(last.pivots(), last.rows(), last.integer_rows()):
-        assert list(r) == sorted(r) and list(r)[-1] == p == max(w) and r[p] == 1
-        assert {c: F(x, w[p]) for c, x in w.items()} == r
+    for p, r in zip(last.pivots(), last.rows()):
+        tail, d = last._tails[p], last._dens[p]
+        assert list(r) == sorted(r) and list(r)[-1] == p == max([p, *tail]) and r[p] == 1
+        assert d > 0 and math.gcd(d, *tail.values()) == 1
+        assert {c: F(x, d) for c, x in tail.items()} == {c: x for c, x in r.items() if c != p}
