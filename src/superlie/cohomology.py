@@ -13,16 +13,17 @@ They use disjoint pairs and every equation and row is homogeneous, so
 elimination never mixes them; a row's parity is its first pair's.
 
 The system is built once, as a last-pivot echelon (``_adapted_equations``)
-of the equations of A, the conjugate adapted to L² (``_adapted``, read off
-``linalg._transport`` as ``core.change_basis`` is), or of L's own when L²'s
-canonical rows are unit vectors.  In A every bracket lies on unit vectors,
-so its equations are sparse where a dense L's are not, and the rank per
-parity is the same: ``_multiplier_count`` reads sdim Z², B² and M off its
-pivots.  ``multiplier`` carries A's raw equations to L's pairs and
-echelonizes them there (``_cocycle_system``).  f -> f∘(P×P) maps Z²(L) onto
-Z²(A) and carrying is linear, so the carried rows span L's own equations,
-and reduced echelon form is unique: the Z² basis and every representative
-are the ones L's own system gives.
+of the equations of A, the conjugate adapted to L², or of L's own when L²'s
+canonical rows are unit vectors.  A's basis is decided and built once per
+algebra, in ``core`` (``_adapted_columns``; ``_adapted`` builds A).  In A
+every bracket lies on unit vectors, so its equations are sparse where a
+dense L's are not, and the rank per parity is the same: ``_sdims`` reads
+sdim Z², B² and M off the pivots.  ``multiplier`` carries A's raw equations
+to L's pairs on the same columns and echelonizes them there
+(``_cocycle_system``).  f -> f∘(P×P) maps Z²(L) onto Z²(A) and carrying is
+linear, so the carried rows span L's own equations, and reduced echelon
+form is unique: the Z² basis and every representative are the ones L's own
+system gives.
 
 Every input the paper computes a multiplier for in closed form has class 2
 with L² central, and then A's L² is span{e_s} over the indices s that its
@@ -51,10 +52,11 @@ from .core import (
     LinearMap,
     Subspace,
     _active,
+    _adapted,
+    _adapted_columns,
     _derived_central,
     _free_pairs,
     _int_table,
-    _memo,
     _orient,
     _sign,
     _support_triples,
@@ -124,19 +126,12 @@ def _cochain(L: LieSuperalgebra, row: linalg.Row) -> Cochain2:
 def _central_support(L: LieSuperalgebra) -> list[int] | None:
     """S, the sorted indices in the support of a stored bracket, when L² is
     central (``core._derived_central``) and spanned by the e_s, s in S, that
-    is, when the stored brackets have rank |S|; otherwise None.  Always a
-    list on A = ``_adapted(L) or L`` when L² is central."""
-    if not _derived_central(L):
+    is, when L is adapted to L² (``core._adapted_columns`` is None);
+    otherwise None.  Always a list on A = ``_adapted(L) or L`` when L² is
+    central."""
+    if not _derived_central(L) or _adapted_columns(L) is not None:
         return None
-    S = sorted({k for _, vec in L.constants for k, _ in vec})
-    if all(len(vec) == 1 for _, vec in L.constants):
-        return S  # each e_s is a stored bracket
-    rank = linalg.Echelon()
-    for _, vec in L.constants:
-        if len(rank) == len(S):
-            break
-        rank.insert(dict(vec))
-    return S if len(rank) == len(S) else None
+    return sorted({k for _, vec in L.constants for k, _ in vec})
 
 
 def _cocycle_equations(L: LieSuperalgebra):
@@ -197,7 +192,7 @@ def _adapted_equations(L: LieSuperalgebra) -> linalg.Echelon:
 def _cocycle_system(L: LieSuperalgebra) -> linalg.Echelon:
     """The last-pivot echelon of L's cocycle equations: ``_adapted_equations``
     when L is adapted to L², else that of A's raw equations carried back.
-    Each sum_(a,b) c_ab g(b_a, b_b) = 0, b the basis of ``_adapted_basis``,
+    Each sum_(a,b) c_ab g(b_a, b_b) = 0, b the basis of ``_adapted_columns``,
     is carried to sum_(a,b) c_ab sum_(i,j) b_a[i] b_b[j] f(e_i, e_j) = 0,
     each f(e_i, e_j) oriented by ``_orient``, in integers scaled by the lcm
     of the d_a d_b it meets; the echelon skips entries that cancel to zero.
@@ -206,8 +201,7 @@ def _cocycle_system(L: LieSuperalgebra) -> linalg.Echelon:
     if A is None:
         return _adapted_equations(L)
     p = L.parities
-    basis = _adapted_basis(L)
-    col = [basis.get(i) or ({i: 1}, 1) for i in range(L.dim)]
+    col = _adapted_columns(L)
 
     def carried(w):
         m = linalg._lcm(col[a][1] * col[b][1] for a, b in w)
@@ -257,83 +251,40 @@ def multiplier(L: LieSuperalgebra) -> MultiplierResult:
     echelonized once, which gives exactly the echelon of L's own equations,
     so the basis and the representatives do not depend on the route.  The
     canonical Z² basis is read off that echelon as integer rows, each led
-    by its free pair."""
-    p = L.parities
+    by its free pair, and the three superdimensions off its pivots
+    (``_sdims``)."""
+    system = _cocycle_system(L)
     # B² plus the representatives so far, in one growing echelon
-    acc = linalg.Echelon()
-    z, b, reps = [0, 0], [0, 0], []
-    for k, row in enumerate(_coboundaries(L)):
-        if acc.insert(row):
-            b[p[k]] += 1
-    for zv, _ in _cocycle_system(L)._kernel_rows(_free_pairs(p)):
-        z[_parity(p, next(iter(zv)))] += 1
+    acc = linalg.Echelon(_coboundaries(L))
+    reps = []
+    for zv, _ in system._kernel_rows(_free_pairs(L.parities)):
         resid = acc.add(zv)
         if resid is not None:
             reps.append(_cochain(L, resid))
     reps.sort(key=lambda f: f.parity)  # stable: pivot order within a parity
-    return MultiplierResult(
-        sdim_Z2=SuperDim(*z),
-        sdim_B2=SuperDim(*b),
-        sdim_M=SuperDim(z[0] - b[0], z[1] - b[1]),
-        cocycle_basis=tuple(reps),
-    )
+    return MultiplierResult(*_sdims(L, system), cocycle_basis=tuple(reps))
 
 
-def _adapted_basis(L: LieSuperalgebra) -> dict[int, tuple[dict[int, int], int]] | None:
-    """The basis adapted to L², as {p: (R_p, d_p)}: at each pivot p of L²,
-    its canonical row r_p = R_p / d_p, R_p integer and d_p its denominator;
-    e_i at every other index.  None when every canonical row of L² is a unit
-    vector, so that L is already adapted; a table whose vectors each have one
-    entry has unit rows, so it needs no echelon."""
-    if all(len(vec) == 1 for _, vec in L.constants):
-        return None
-    L2 = derived_subalgebra(L)
-    rows = L2.even + L2.odd
-    if all(len(r) == 1 for r in rows):
-        return None
-    basis = {}
-    for r in rows:
-        d = linalg._lcm(c.denominator for _, c in r)
-        basis[r[0][0]] = {k: c.numerator * (d // c.denominator) for k, c in r}, d
-    return basis
-
-
-def _adapted(L: LieSuperalgebra) -> LieSuperalgebra | None:
-    """L's conjugate in the basis of ``_adapted_basis``, or None when that is
-    L's own; built at most once per algebra and kept on L.  Every bracket
-    lies in L², whose rows are reduced, so its coordinate on r_p is its entry
-    at p: ``linalg._transport`` reads the pivot entries alone, in integers,
-    with no inverse to apply."""
-    def build():
-        basis = _adapted_basis(L)
-        if basis is None:
-            return None
-        cols = [basis.get(i) or ({i: 1}, 1) for i in range(L.dim)]
-        consts = linalg._transport(*_int_table(L), _free_pairs(L.parities), cols,
-                                   {p: {p: 1} for p in basis})
-        return validate(L.parities, consts, name=L.name, labels=L.labels)
-    return _memo(L, "_adapted", build)
-
-
-def _multiplier_count(L: LieSuperalgebra) -> tuple[SuperDim, SuperDim, SuperDim]:
-    """(sdim Z², sdim B², sdim M) of L, counted: ``multiplier``'s three
-    superdimensions with no cocycle space, no coboundary echelon and no
-    representatives built.
-
-    Per parity π, sdim Z²_π = |C²_π| - rank_π(cocycle equations), where
-    |C²| = bound(sdim L) counts the free pairs per parity.  On the parity-π
-    functionals, the kernel of g -> -g∘[·,·] is the annihilator of L², so
-    sdim B²_π = sdim L²_π, and sdim M_π is the difference.  Ranks do not
-    change under a parity-preserving base change, so they are read off the
-    last-pivot echelon of ``_adapted_equations``, on the conjugate adapted to
-    L² that ``_adapted`` keeps on L (the Jacobi check has often built it),
-    where the equations are sparse, or on L itself when L² has unit
-    canonical rows.  A row's parity is its pivot's."""
+def _sdims(L: LieSuperalgebra, equations: linalg.Echelon) -> tuple[SuperDim, SuperDim, SuperDim]:
+    """(sdim Z², sdim B², sdim M) of L off an echelon of the cocycle
+    equations of L or of a parity-preserving conjugate, whose ranks are L's.
+    Per parity π, sdim Z²_π = |C²_π| - rank_π, |C²| = bound(sdim L) counting
+    the free pairs, a row's parity being its pivot's; the kernel of
+    g -> -g∘[·,·] on the parity-π functionals is the annihilator of L², so
+    sdim B²_π = sdim L²_π; sdim M_π is the difference."""
     z = list(bound(L.sdim).as_tuple())
-    for pair in _adapted_equations(L).pivots():
+    for pair in equations.pivots():
         z[_parity(L.parities, pair)] -= 1
     sdim_Z2, sdim_B2 = SuperDim(*z), derived_subalgebra(L).sdim
     return sdim_Z2, sdim_B2, (sdim_Z2 - sdim_B2).to_superdim()
+
+
+def _multiplier_count(L: LieSuperalgebra) -> tuple[SuperDim, SuperDim, SuperDim]:
+    """(sdim Z², sdim B², sdim M) of L, counted with no cocycle space,
+    coboundary echelon or representative built: ``_sdims`` of the
+    last-pivot echelon of ``_adapted_equations``, sparse on the conjugate
+    adapted to L² that the Jacobi check has often built."""
+    return _sdims(L, _adapted_equations(L))
 
 
 def multiplier_sdim(L: LieSuperalgebra) -> SuperDim:

@@ -176,19 +176,17 @@ class LieSuperalgebra:
         # (1) If ``_derived_central`` holds, L² is central, each
         # [[x, y], z] vanishes and the identity holds.  (2) If L² has a
         # non-unit canonical row, the identity, being trilinear, holds iff
-        # it holds on the conjugate adapted to L² (``cohomology._adapted``,
-        # kept for the cocycle system, and built by ``linalg._transport`` as
-        # ``change_basis`` is), whose L² has unit rows, so its check ends in
-        # (1) or (3); on failure (3) still reports L's own first failing
-        # triple.  (3) Walk
-        # the sorted triples i <= j <= k, enough by graded skew-symmetry, of
-        # active indices only, as a nonzero term needs all three.  The
-        # identity is homogeneous of degree 2 in the constants, so it is
-        # summed in integers on the table D·c of ``_int_table``, and a
-        # residual is scaled back by D².
+        # it holds on the conjugate adapted to L² (``_adapted``, built once
+        # from the columns of ``_adapted_columns`` and kept for the class,
+        # the count and the cocycle system), whose L² has unit rows, so its
+        # check ends in (1) or (3); on failure (3) still reports L's own
+        # first failing triple.  (3) Walk the sorted triples i <= j <= k,
+        # enough by graded skew-symmetry, of active indices only, as a
+        # nonzero term needs all three.  The identity is homogeneous of
+        # degree 2 in the constants, so it is summed in integers on the
+        # table D·c of ``_int_table``, and a residual is scaled back by D².
         if _derived_central(self):
             return
-        from .cohomology import _adapted  # cohomology imports this module
         try:
             if _adapted(self) is not None:
                 return
@@ -236,7 +234,9 @@ class LieSuperalgebra:
         return table
 
     def basis_bracket(self, i: int, j: int) -> dict[int, Fraction]:
-        """[e_i, e_j] as a shared (read-only) sparse dict, any index order."""
+        """[e_i, e_j] as a shared (read-only) sparse dict, any index order.
+        Public API by choice, with no library caller: the tests and their
+        oracle (``tests/oracle.py``) read brackets through it."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise InvalidParams(f"basis indices {(i, j)} outside range({self.dim})")
         return self._table.get((i, j), {})
@@ -247,7 +247,9 @@ class LieSuperalgebra:
         return linalg.unit_vec(self.dim, i)
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
-        """Bilinear extension of the basis bracket to coordinate vectors."""
+        """Bilinear extension of the basis bracket to coordinate vectors.
+        Public API by choice, with no library caller: the tests bracket
+        vectors through it."""
         return linalg._dense(_bracket(self, _row(self, x), _row(self, y)), self.dim)
 
     def vector_parity(self, v: Vec) -> int | None:
@@ -262,7 +264,10 @@ class LieSuperalgebra:
         return [i for i, p in enumerate(self.parities) if p == 1]
 
     def structure_equals(self, other: "LieSuperalgebra") -> bool:
-        """Same basis parities and identical structure constants."""
+        """Same basis parities and identical structure constants.  Public
+        API by choice, with no library caller: the tests compare tables with
+        it, and it is the check of a classification witness P, that
+        ``change_basis(L, P).structure_equals(model)``."""
         return self.parities == other.parities and self.constants == other.constants
 
 
@@ -498,9 +503,10 @@ def _memo(L: LieSuperalgebra, key: str, compute):
 
     Keep only values that do not refer back to L: row tuples, SuperDims,
     ints, frozen index sets, the invariant report, the grouping of L's own
-    table vectors, and algebras built from L's data such as the central
-    quotient L/Z(L) and the conjugate adapted to L² (or None), which keep
-    L's labels but no reference to L.  A Subspace points at L through
+    table vectors, the integer columns of the basis adapted to L² (or
+    None), and algebras built from L's data such as the central quotient
+    L/Z(L) and the conjugate adapted to L² (or None), which keep L's labels
+    but no reference to L.  A Subspace points at L through
     ``parent``; caching one would make a reference cycle, so L and its cache
     would outlive their last reference until a full garbage collection.
     """
@@ -577,11 +583,10 @@ def is_nilpotent(L: LieSuperalgebra) -> tuple[bool, int | None]:
     """(nilpotent?, class); class is the number of strict series steps.
 
     The class is an isomorphism invariant, so the series runs on the
-    conjugate adapted to L² that ``cohomology._adapted`` keeps on L (a
-    parse of a dense file has already built it), whose brackets are sparse
-    where L's are dense; on L itself when L is already adapted."""
+    conjugate adapted to L² that ``_adapted`` keeps on L (a parse of a
+    dense file has already built it), whose brackets are sparse where L's
+    are dense; on L itself when L is already adapted."""
     def compute():
-        from .cohomology import _adapted  # cohomology imports this module
         series = lower_central_series(_adapted(L) or L)
         if series[-1].sdim != ZERO:
             return False, None
@@ -661,3 +666,41 @@ def change_basis(L: LieSuperalgebra, P) -> LieSuperalgebra:
     consts = linalg._transport(*_int_table(L), _free_pairs(L.parities),
                                [(c, q) for c in cols], inv_cols)
     return validate(L.parities, consts, name=L.name, labels=L.labels)
+
+
+def _adapted_columns(L: LieSuperalgebra) -> list[tuple[dict[int, int], int]] | None:
+    """The basis adapted to L², as integer columns (R_i, d_i), b_i = R_i / d_i:
+    r_p, L²'s canonical row at each pivot p, d_p its denominator; e_i
+    elsewhere.  None when every canonical row is a unit vector, so that L is
+    adapted; a table whose vectors each have one entry needs no echelon to
+    tell.  Built once per algebra, the one source of A's basis."""
+    def build():
+        if all(len(vec) == 1 for _, vec in L.constants):
+            return None
+        L2 = derived_subalgebra(L)
+        rows = L2.even + L2.odd
+        if all(len(r) == 1 for r in rows):
+            return None
+        cols = [({i: 1}, 1) for i in range(L.dim)]
+        for r in rows:
+            d = linalg._lcm(c.denominator for _, c in r)
+            cols[r[0][0]] = {k: c.numerator * (d // c.denominator) for k, c in r}, d
+        return cols
+    return _memo(L, "_adapted_columns", build)
+
+
+def _adapted(L: LieSuperalgebra) -> LieSuperalgebra | None:
+    """L's conjugate A in the basis of ``_adapted_columns``, or None when
+    that is L's own; built at most once per algebra and kept on L.  Every
+    bracket lies in L², whose rows are reduced, so its coordinate on r_p is
+    its entry at p: ``linalg._transport`` reads the pivot entries alone, in
+    integers, with no inverse to apply."""
+    def build():
+        cols = _adapted_columns(L)
+        if cols is None:
+            return None
+        L2 = derived_subalgebra(L)
+        coords = {r[0][0]: {r[0][0]: 1} for r in L2.even + L2.odd}
+        consts = linalg._transport(*_int_table(L), _free_pairs(L.parities), cols, coords)
+        return validate(L.parities, consts, name=L.name, labels=L.labels)
+    return _memo(L, "_adapted", build)

@@ -68,6 +68,10 @@ basis, and re-echelonizes the kernel vectors of that first-pivot echelon.
 ``system_cocycle_basis`` is ``cohomology._cocycle_basis`` from before it
 was retired, when no library path called it any more: the canonical Z²
 basis read off the last-pivot ``_cocycle_system``.
+``central_support`` is ``cohomology._central_support`` from before it read
+"L² is spanned by basis vectors" off ``core._adapted_columns``: it ranks
+the stored brackets in an echelon of its own and compares the rank with
+the size of their support.
 ``int_table`` is ``core._int_table`` from before it read the integer table
 off ``L.constants``: it scales the Fraction table ``L._table``.
 ``random_nilpotent`` is the corpus generator of ``superlie.corpus`` from
@@ -95,6 +99,7 @@ from superlie.core import (
     LinearMap,
     Subspace,
     _bracket,
+    _derived_central,
     _free_pairs,
     _int_table,
     _orient,
@@ -617,6 +622,24 @@ def system_cocycle_basis(L: LieSuperalgebra) -> list[linalg.Row]:
     only combines rows that share a pair, so the rows of one parity are that
     parity's canonical basis."""
     return _cocycle_system(L).kernel_basis(_free_pairs(L.parities))
+
+
+def central_support(L: LieSuperalgebra) -> list[int] | None:
+    """S, the sorted indices in the support of a stored bracket, when L² is
+    central (``core._derived_central``) and spanned by the e_s, s in S, that
+    is, when the stored brackets have rank |S|; otherwise None.  Always a
+    list on A = ``_adapted(L) or L`` when L² is central."""
+    if not _derived_central(L):
+        return None
+    S = sorted({k for _, vec in L.constants for k, _ in vec})
+    if all(len(vec) == 1 for _, vec in L.constants):
+        return S  # each e_s is a stored bracket
+    rank = linalg.Echelon()
+    for _, vec in L.constants:
+        if len(rank) == len(S):
+            break
+        rank.insert(dict(vec))
+    return S if len(rank) == len(S) else None
 
 
 def check_independent(L: LieSuperalgebra, chosen) -> None:

@@ -25,6 +25,7 @@ from superlie.constructions import (
 from superlie.corpus import corpus
 from superlie.linalg import Echelon
 from superlie.superdim import SuperDim, bound
+from test_carried_cocycles import CONJUGATES
 from test_multiplier_count import _unitriangular_conjugate
 from test_support_triples import ALGEBRAS, _walked_by_equations
 
@@ -80,13 +81,32 @@ def test_class_three_walks_every_support_triple(L):
     assert walked == list(core._support_triples(L))
 
 
+# H(1,0) ⊕ Ab(1,0) with z and a replaced by z + a and a: [u, v] = b3 - b4,
+# so L² is central but not spanned by the basis vectors it touches
+H10_AB10 = core.direct_sum(heisenberg_even(1, 0), abelian(1, 0))
+NON_ADAPTED = core.change_basis(H10_AB10, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]])
+
+
 def test_non_adapted_central_square_walks_every_support_triple():
-    # H(1,0) ⊕ Ab(1,0) with z and a replaced by z + a and a: [u, v] = b3 - b4,
-    # so L² is central but not spanned by the basis vectors it touches
-    H = core.direct_sum(heisenberg_even(1, 0), abelian(1, 0))
-    C = core.change_basis(H, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]])
+    H, C = H10_AB10, NON_ADAPTED
     assert [vec for _, vec in C.constants] == [((2, 1), (3, -1))]
     assert core._derived_central(C) and cohomology._central_support(C) is None
     _, walked = _walked_by_equations(C)
     assert walked == list(core._support_triples(C))
     assert cohomology.multiplier(C).sdim_M == cohomology.multiplier(H).sdim_M
+
+
+SUPPORT_CASES = ALGEBRAS + CONJUGATES + ADAPTED + [NON_ADAPTED]
+
+
+@pytest.mark.parametrize("L", SUPPORT_CASES, ids=lambda L: f"{L.name}-{L.dim}")
+def test_central_support_matches_reference(L):
+    """S is read off the adapted columns, with no echelon of its own: it is
+    the reference's rank test, list for list and None for None."""
+    assert cohomology._central_support(L) == reference.central_support(L)
+
+
+def test_central_support_cases_take_both_answers():
+    answers = [reference.central_support(L) for L in SUPPORT_CASES]
+    assert sum(S is None for S in answers) > 50 and sum(S is not None for S in answers) > 50
+    assert answers[-1] is None  # L² central, but not on basis vectors

@@ -54,10 +54,11 @@ ALGEBRAS = MODELS + corpus(0, 60)
 
 def _fresh(L: LieSuperalgebra) -> LieSuperalgebra:
     """An equal-by-value copy of L with an empty cache.  The Jacobi check
-    may fill L² and the conjugate adapted to it at construction; both are
-    dropped, so that every value read from the copy is computed afresh."""
+    may fill L², the basis adapted to it and the conjugate in that basis at
+    construction; all three are dropped, so that every value read from the
+    copy is computed afresh."""
     K = LieSuperalgebra(L.parities, L.constants, L.name, L.labels)
-    for key in ("_derived", "_adapted"):
+    for key in ("_derived", "_adapted_columns", "_adapted"):
         vars(K).pop(key, None)
     return K
 

@@ -4,12 +4,13 @@ basis triple in ``reference_core``.
 The check takes three exact steps: it accepts at once when no index in the
 support of a stored bracket occurs in a stored key (then L² is central and
 every term [[x, y], z] vanishes); else, when L² has a non-unit canonical
-row, it decides on the conjugate adapted to L² (``cohomology._adapted``),
+row, it decides on the conjugate adapted to L² (``core._adapted``),
 and walks L's own triples only if that conjugate fails; else it walks the
 triples.  These tests check that it accepts exactly what the reference
 accepts, that a rejected table raises the reference's error (triple,
 residual and text), which step decides on named families, and that the
-sdim M count reuses the conjugate the check built."""
+sdim M count and the multiplier reuse the conjugate the check built, and
+the basis columns it was built from."""
 
 import random
 from fractions import Fraction
@@ -171,14 +172,14 @@ def test_dense_class_three_conjugate_walks_the_conjugate(monkeypatch):
 
 
 def _conjugates_built(monkeypatch, run):
-    """The algebras ``_adapted`` builds while run() runs."""
-    built, build = [], cohomology.validate
+    """The algebras ``core._adapted`` builds while run() runs."""
+    built, build = [], core.validate
 
     def recorded(*args, **kwargs):
         built.append(build(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(cohomology, "validate", recorded)
+    monkeypatch.setattr(core, "validate", recorded)
     run()
     monkeypatch.undo()
     return built
@@ -204,11 +205,54 @@ def test_count_builds_the_conjugate_once_when_the_check_did_not():
     assert multiplier_sdim(L) == cohomology.multiplier(L).sdim_M
 
 
+def _adapted_builds(monkeypatch, L, run):
+    """What run() builds of L's adapted basis: the ``core._memo`` keys
+    computed on L, and the reads of L² inside ``core``, from which the
+    basis columns are made."""
+    builds, memo, derived = [], core._memo, core.derived_subalgebra
+
+    def recorded_memo(A, key, compute):
+        def computing():
+            if A is L:
+                builds.append(key)
+            return compute()
+        return memo(A, key, computing)
+
+    def recorded_derived(A):
+        if A is L:
+            builds.append("L²")
+        return derived(A)
+
+    monkeypatch.setattr(core, "_memo", recorded_memo)
+    monkeypatch.setattr(core, "derived_subalgebra", recorded_derived)
+    run()
+    monkeypatch.undo()
+    return builds
+
+
+@pytest.mark.parametrize("L", DENSE, ids=lambda L: f"{L.name}-{L.dim}")
+def test_multiplier_reads_the_basis_the_check_built(monkeypatch, L):
+    """The Jacobi check built the adapted columns and A from them;
+    ``multiplier`` reads both off L and builds neither again.  On a copy with
+    an empty cache, each is built once."""
+    cols, A = vars(L)["_adapted_columns"], vars(L)["_adapted"]
+    assert cols is not None and A is not None
+    builds = _adapted_builds(monkeypatch, L, lambda: cohomology.multiplier(L))
+    assert not {"_adapted_columns", "_adapted", "L²"} & set(builds)
+    assert _conjugates_built(monkeypatch, lambda: cohomology.multiplier(L)) == []
+    assert vars(L)["_adapted_columns"] is cols and vars(L)["_adapted"] is A
+    K = _fresh(L)
+    assert not {"_adapted_columns", "_adapted"} & set(vars(K))
+    builds = _adapted_builds(monkeypatch, K, lambda: cohomology.multiplier(K))
+    assert builds.count("_adapted_columns") == builds.count("_adapted") == 1
+    assert vars(K)["_adapted_columns"] == cols and vars(K)["_adapted"] == A
+
+
 def test_one_entry_tables_build_no_derived_subalgebra(monkeypatch):
     """A table whose vectors each have one entry has unit L² rows: the
     conjugate is read off as None with no echelon built."""
     calls = []
-    monkeypatch.setattr(cohomology, "derived_subalgebra", calls.append)
+    monkeypatch.setattr(core, "derived_subalgebra", calls.append)
     L = model_l4()
     assert all(len(vec) == 1 for _, vec in L.constants)
     assert calls == [] and vars(L)["_adapted"] is None

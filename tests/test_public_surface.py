@@ -1,12 +1,14 @@
 """The package's public surface: the names ``superlie`` exports, the
-names retired from it, the functions the benchmark traces, and the README
-example.
+names retired from it, the functions the benchmark traces, the README
+example, and the one direction of the import between ``core`` and
+``cohomology``.
 
 A trim that deletes an exported or traced name fails here, in the default
 test run, and not only under ``python -m pytest bench``; so does bringing
 back a retired name.
 """
 
+import ast
 import doctest
 import importlib
 import sys
@@ -77,6 +79,19 @@ def test_every_traced_target_exists():
     import superlie.corpus  # noqa: F401
     import superlie.verification  # noqa: F401
     assert tracing.Tracer().missing == []
+
+
+def test_core_imports_no_cohomology():
+    """``cohomology`` builds on ``core``, never the other way round: no
+    import of it anywhere in core.py, function bodies included."""
+    tree = ast.parse((ROOT / "src" / "superlie" / "core.py").read_text(encoding="utf-8"))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules += [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+    assert modules and not [m for m in modules if "cohomology" in m.split(".")]
 
 
 def test_readme_example():
