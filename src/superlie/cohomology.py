@@ -118,9 +118,16 @@ class Cochain2:
 
 def _cochain(L: LieSuperalgebra, row: linalg.Row) -> Cochain2:
     """The cochain whose free coordinates are a nonzero homogeneous sparse
-    row over the pairs, with the parity of its first pair."""
+    row over the pairs, with the parity of its first pair.  The row is a
+    residual of ``multiplier``'s echelon over free pairs, with no zeros, so
+    the fields are set as the frozen constructor sets them, with no
+    ``__post_init__`` checks; the public constructor keeps them."""
     values = tuple(sorted(row.items()))
-    return Cochain2(L, _parity(L.parities, values[0][0]), values)
+    f = object.__new__(Cochain2)
+    object.__setattr__(f, "parent", L)
+    object.__setattr__(f, "parity", _parity(L.parities, values[0][0]))
+    object.__setattr__(f, "values", values)
+    return f
 
 
 def _central_support(L: LieSuperalgebra) -> list[int] | None:

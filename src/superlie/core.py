@@ -504,11 +504,12 @@ def _memo(L: LieSuperalgebra, key: str, compute):
     Keep only values that do not refer back to L: row tuples, SuperDims,
     ints, frozen index sets, the invariant report, the grouping of L's own
     table vectors, the integer columns of the basis adapted to L² (or
-    None), and algebras built from L's data such as the central quotient
-    L/Z(L) and the conjugate adapted to L² (or None), which keep L's labels
-    but no reference to L.  A Subspace points at L through
-    ``parent``; caching one would make a reference cycle, so L and its cache
-    would outlive their last reference until a full garbage collection.
+    None), and algebras built from L's data, which keep L's labels but no
+    reference to L: the conjugate A adapted to L² (or None), and the central
+    quotient L/Z(L), built as A/Z(A) from A = ``_adapted(L) or L``.  A
+    Subspace points at L through ``parent``; caching one would make a
+    reference cycle, so L and its cache would outlive their last reference
+    until a full garbage collection.
     """
     cache = vars(L)
     if key not in cache:
@@ -525,9 +526,15 @@ def _cached_subspace(L: LieSuperalgebra, key: str, compute) -> Subspace:
 
 
 def derived_subalgebra(L: LieSuperalgebra) -> Subspace:
-    """[L, L], spanned by the stored brackets [e_i, e_j], i <= j."""
-    return _cached_subspace(L, "_derived", lambda: Subspace._span_rows(
-        L, (dict(vec) for _, vec in L.constants)))
+    """[L, L], spanned by the stored brackets [e_i, e_j], i <= j.  When each
+    stored vector has one entry, its canonical rows are the unit vectors at
+    their sorted support, read off with no echelon."""
+    def compute():
+        if all(len(vec) == 1 for _, vec in L.constants):
+            support = sorted({vec[0][0] for _, vec in L.constants})
+            return Subspace._canonical(L, [((k, Fraction(1)),) for k in support])
+        return Subspace._span_rows(L, (dict(vec) for _, vec in L.constants))
+    return _cached_subspace(L, "_derived", compute)
 
 
 def _ad_system(terms, modulo: linalg.Echelon) -> linalg.Echelon:
@@ -672,11 +679,10 @@ def _adapted_columns(L: LieSuperalgebra) -> list[tuple[dict[int, int], int]] | N
     """The basis adapted to L², as integer columns (R_i, d_i), b_i = R_i / d_i:
     r_p, L²'s canonical row at each pivot p, d_p its denominator; e_i
     elsewhere.  None when every canonical row is a unit vector, so that L is
-    adapted; a table whose vectors each have one entry needs no echelon to
-    tell.  Built once per algebra, the one source of A's basis."""
+    adapted; ``derived_subalgebra`` reads those rows with no echelon off a
+    table whose vectors each have one entry.  Built once per algebra, the one
+    source of A's basis."""
     def build():
-        if all(len(vec) == 1 for _, vec in L.constants):
-            return None
         L2 = derived_subalgebra(L)
         rows = L2.even + L2.odd
         if all(len(r) == 1 for r in rows):

@@ -42,8 +42,14 @@ def _sdim_M(L: LieSuperalgebra) -> SuperDim:
 
 
 def _central_quotient(L: LieSuperalgebra) -> LieSuperalgebra:
-    """L/Z(L), built once per algebra; it holds no reference back to L."""
-    return core._memo(L, "_central_quotient", lambda: core.quotient(L, core.center(L))[0])
+    """L/Z(L) up to isomorphism, built once per algebra as A/Z(A) on
+    A = ``core._adapted(L) or L``, whose center is solved on A's sparse
+    table; it holds no reference back to L.  Its readers, ``_sdim_M`` and
+    Lemma 4.6's ``classify_mr_le2``, read only invariants of it."""
+    def build():
+        A = core._adapted(L) or L
+        return core.quotient(A, core.center(A))[0]
+    return core._memo(L, "_central_quotient", build)
 
 
 def sdr_report(L: LieSuperalgebra) -> tuple[SignedPair, int]:
@@ -63,9 +69,14 @@ def report(L: LieSuperalgebra) -> InvariantReport:
 
 
 def _report(L: LieSuperalgebra) -> InvariantReport:
+    """Every field is a rank that does not depend on the basis.  sdim L²
+    and sdim M are read on L (M counted on A by ``multiplier_sdim``);
+    sdim Z and the class on A = ``core._adapted(L) or L``, whose table is
+    sparse where a dense L's is not, so L's Fraction ``_table`` is never
+    built."""
     sdim_L = L.sdim
     sdim_L2 = core.derived_subalgebra(L).sdim
-    sdim_Z = core.center(L).sdim
+    sdim_Z = core.center(core._adapted(L) or L).sdim
     sdim_LmodZ = (sdim_L - sdim_Z).to_superdim()
     sdim_M = _sdim_M(L)
     smr = bound(sdim_L) - sdim_M
@@ -159,11 +170,16 @@ class BoundReport:
 
 
 def check_bounds(L: LieSuperalgebra) -> BoundReport:
+    """The inequalities of Lemmas 2.2-2.4, each side a rank that does not
+    depend on the basis: the report's, sdim(L² ∩ Z) counted on the L² and
+    Z of A = ``core._adapted(L) or L``, and sdim M(L/Z(L)) on the central
+    quotient built from A (``_central_quotient``)."""
     rep = report(L)
     # sdim(L² ∩ Z) = sdim L² + sdim Z - sdim(L² + Z), per parity: the rows of
     # Z that an echelon of L² and Z's earlier rows already spans.  Parities
     # never mix in one echelon, as their columns are disjoint.
-    L2, Z = core.derived_subalgebra(L), core.center(L)
+    A = core._adapted(L) or L
+    L2, Z = core.derived_subalgebra(A), core.center(A)
     ech = linalg.Echelon(map(dict, L2.even + L2.odd))
     cap = SuperDim(*(sum(not ech.insert(dict(r)) for r in rows) for rows in (Z.even, Z.odd)))
     mq = _sdim_M(_central_quotient(L))

@@ -74,6 +74,13 @@ the stored brackets in an echelon of its own and compares the rank with
 the size of their support.
 ``int_table`` is ``core._int_table`` from before it read the integer table
 off ``L.constants``: it scales the Fraction table ``L._table``.
+``report``, ``check_bounds`` and ``central_quotient`` are the bodies of
+``superlie.invariants`` from before they read sdim Z, sdim(L² ∩ Z) and
+L/Z(L) off the conjugate adapted to L²: they solve the center on L's own
+table.  ``report`` is the former ``_report``, without the memo of the
+public ``report``, and ``central_quotient`` the former
+``_central_quotient``, without its memo, which would share its cache key
+with the library's.
 ``random_nilpotent`` is the corpus generator of ``superlie.corpus`` from
 before each ``corpus`` call kept one instance per distinct algebra: it
 solves ``multiplier`` on every algebra it builds, here the per-parity
@@ -119,8 +126,9 @@ from superlie.errors import (
     ParityMixing,
     SingularMatrix,
 )
+from superlie.invariants import BoundReport, InvariantReport, _sdim_M
 from superlie.linalg import Vec
-from superlie.superdim import SuperDim
+from superlie.superdim import SuperDim, bound
 from superlie.verification import _Z2_MIXES
 
 linalg = SimpleNamespace(
@@ -720,3 +728,54 @@ def random_nilpotent(rng: random.Random, max_even: int = MAX_EVEN,
             mixed.append(g)
         L = central_extension(L, mixed).algebra
     return L
+
+
+def central_quotient(L: LieSuperalgebra) -> LieSuperalgebra:
+    """L/Z(L), on L's own center; it holds no reference back to L."""
+    return core.quotient(L, core.center(L))[0]
+
+
+def report(L: LieSuperalgebra) -> InvariantReport:
+    sdim_L = L.sdim
+    sdim_L2 = core.derived_subalgebra(L).sdim
+    sdim_Z = core.center(L).sdim
+    sdim_LmodZ = (sdim_L - sdim_Z).to_superdim()
+    sdim_M = _sdim_M(L)
+    smr = bound(sdim_L) - sdim_M
+    sdr = bound(sdim_LmodZ) - sdim_L2
+    nil, cls = core.is_nilpotent(L)
+    return InvariantReport(
+        name=L.name,
+        sdim_L=sdim_L,
+        sdim_L2=sdim_L2,
+        sdim_Z=sdim_Z,
+        sdim_LmodZ=sdim_LmodZ,
+        sdim_M=sdim_M,
+        smr=smr,
+        mr=smr.total(),
+        sdr=sdr,
+        dr=sdr.total(),
+        nilpotency_class=cls if nil else None,
+    )
+
+
+def check_bounds(L: LieSuperalgebra) -> BoundReport:
+    rep = report(L)
+    # sdim(L² ∩ Z) = sdim L² + sdim Z - sdim(L² + Z), per parity: the rows of
+    # Z that an echelon of L² and Z's earlier rows already spans.  Parities
+    # never mix in one echelon, as their columns are disjoint.
+    L2, Z = core.derived_subalgebra(L), core.center(L)
+    ech = linalg.Echelon(map(dict, L2.even + L2.odd))
+    cap = SuperDim(*(sum(not ech.insert(dict(r)) for r in rows) for rows in (Z.even, Z.odd)))
+    mq = _sdim_M(central_quotient(L))
+    return BoundReport(
+        sdim_L=rep.sdim_L,
+        sdim_L2=rep.sdim_L2,
+        sdim_LmodZ=rep.sdim_LmodZ,
+        sdim_M=rep.sdim_M,
+        sdim_L2_cap_Z=cap,
+        sdim_M_of_LmodZ=mq,
+        derived_le_bound=rep.sdim_L2.leq(bound(rep.sdim_LmodZ)),
+        multiplier_le_bound=rep.sdim_M.leq(bound(rep.sdim_L)),
+        central_derived_le_quotient_multiplier=cap.leq(mq),
+    )

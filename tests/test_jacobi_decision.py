@@ -21,7 +21,7 @@ import pytest
 
 import reference_core as reference
 from base_change import base_changed
-from superlie import cohomology, core
+from superlie import cohomology, core, linalg
 from superlie.cohomology import cover_candidate, multiplier_sdim
 from superlie.constructions import (
     builtin,
@@ -249,10 +249,25 @@ def test_multiplier_reads_the_basis_the_check_built(monkeypatch, L):
 
 
 def test_one_entry_tables_build_no_derived_subalgebra(monkeypatch):
-    """A table whose vectors each have one entry has unit L² rows: the
-    conjugate is read off as None with no echelon built."""
+    """A table whose vectors each have one entry has unit L² rows, read off
+    its support: L² and the conjugate, None, are built with no ``Echelon``
+    and no ``Subspace._span_rows``.  The rows are the echelon's."""
     calls = []
-    monkeypatch.setattr(core, "derived_subalgebra", calls.append)
+    echelon, span_rows = linalg.Echelon, core.Subspace._span_rows
+
+    def recorded_echelon(*args, **kwargs):
+        calls.append("Echelon")
+        return echelon(*args, **kwargs)
+
+    def recorded_span_rows(cls, parent, rows):
+        calls.append("_span_rows")
+        return span_rows(parent, rows)
+
+    monkeypatch.setattr(linalg, "Echelon", recorded_echelon)
+    monkeypatch.setattr(core.Subspace, "_span_rows", classmethod(recorded_span_rows))
     L = model_l4()
     assert all(len(vec) == 1 for _, vec in L.constants)
+    L2 = core.derived_subalgebra(L)
     assert calls == [] and vars(L)["_adapted"] is None
+    monkeypatch.undo()
+    assert L2 == core.Subspace._span_rows(L, (dict(vec) for _, vec in L.constants))
