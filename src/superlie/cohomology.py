@@ -315,6 +315,9 @@ class CentralExtension:
     projection: LinearMap
 
     def as_defining_pair(self) -> DefiningPair:
+        """The extension as the paper's defining pair (K, M), checked.
+        Public API by choice, with no library caller: the library's one
+        maker of a ``DefiningPair``, which the tests build pairs with."""
         if not self.stem_ok:
             raise StemConditionFailed("extension kernel is not inside the derived subalgebra")
         return DefiningPair(self.algebra, self.kernel, self.projection)

@@ -60,18 +60,22 @@ def _free_pairs(parities) -> list[tuple[int, int]]:
 
 
 def _int_table(L: LieSuperalgebra):
-    """(D, D·``L._table``), D the lcm of the constants' denominators, read
-    off ``L.constants``: one integer row per stored key (i, j), the same
-    row under (j, i) when ``_orient`` gives sign +1 and its negation
-    otherwise.  The rows are shared, so they are read-only."""
-    p = L.parities
-    D = linalg._lcm(c.denominator for _, vec in L.constants for _, c in vec)
-    table = {}
-    for (i, j), vec in L.constants:  # an odd [e_i, e_i] has s = 1, one key
-        row = {k: c.numerator * (D // c.denominator) for k, c in vec}
-        _, s = _orient(p, j, i)
-        table[i, j], table[j, i] = row, row if s == 1 else {k: -x for k, x in row.items()}
-    return D, table
+    """(D, D·c), the algebra's one bracket table, built once per algebra, D
+    the lcm of the constants' denominators: one shared, read-only integer
+    row per stored key (i, j), the same row under (j, i) when ``_orient``
+    gives sign +1 and its negation otherwise.  Its readers compute spans,
+    kernels and ranks, which D does not change; ``basis_bracket`` and
+    ``bracket`` divide by D at the public edge."""
+    def build():
+        p = L.parities
+        D = linalg._lcm(c.denominator for _, vec in L.constants for _, c in vec)
+        table = {}
+        for (i, j), vec in L.constants:  # an odd [e_i, e_i] has s = 1, one key
+            row = {k: c.numerator * (D // c.denominator) for k, c in vec}
+            _, s = _orient(p, j, i)
+            table[i, j], table[j, i] = row, row if s == 1 else {k: -x for k, x in row.items()}
+        return D, table
+    return _memo(L, "_int_table", build)
 
 
 def _active(L: LieSuperalgebra) -> frozenset[int]:
@@ -224,22 +228,15 @@ class LieSuperalgebra:
     def sdim(self) -> SuperDim:
         return SuperDim(self.n_even, self.n_odd)
 
-    @cached_property
-    def _table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        """Every nonzero [e_i, e_j], stored under both (i, j) and (j, i)."""
-        table = {}
-        for (i, j), vec in self.constants:  # an odd [e_i, e_i] has s = 1, one key
-            _, s = _orient(self.parities, j, i)
-            table[i, j], table[j, i] = dict(vec), dict(vec) if s == 1 else {k: -c for k, c in vec}
-        return table
-
     def basis_bracket(self, i: int, j: int) -> dict[int, Fraction]:
-        """[e_i, e_j] as a shared (read-only) sparse dict, any index order.
-        Public API by choice, with no library caller: the tests and their
-        oracle (``tests/oracle.py``) read brackets through it."""
+        """[e_i, e_j] as a fresh sparse dict, any index order: the row of
+        ``_int_table`` divided by D.  Public API by choice, with no library
+        caller: the tests and their oracle (``tests/oracle.py``) read
+        brackets through it."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise InvalidParams(f"basis indices {(i, j)} outside range({self.dim})")
-        return self._table.get((i, j), {})
+        D, table = _int_table(self)
+        return linalg._fractions(table.get((i, j), {}).items(), D)
 
     def basis_vector(self, i: int) -> Vec:
         if not 0 <= i < self.dim:
@@ -247,10 +244,14 @@ class LieSuperalgebra:
         return linalg.unit_vec(self.dim, i)
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
-        """Bilinear extension of the basis bracket to coordinate vectors.
-        Public API by choice, with no library caller: the tests bracket
-        vectors through it."""
-        return linalg._dense(_bracket(self, _row(self, x), _row(self, y)), self.dim)
+        """Bilinear extension of the basis bracket to coordinate vectors:
+        Σ_t y_t [x, e_t], read off ``_action`` and divided by D.  Public API
+        by choice, with no library caller: the tests bracket vectors through
+        it."""
+        act, out, D = _action(self, _row(self, x).items()), {}, _int_table(self)[0]
+        for t, c in _row(self, y).items():  # [x, y] = Σ_t y_t [x, e_t]
+            linalg._axpy(out, c, act.get(t, {}))
+        return linalg._dense({k: Fraction(v, D) for k, v in out.items()}, self.dim)
 
     def vector_parity(self, v: Vec) -> int | None:
         """Parity of a homogeneous coordinate vector, None if mixed or zero."""
@@ -313,9 +314,9 @@ def validate(parities, constants, name: str = "L", labels=None) -> LieSuperalgeb
 @dataclass(frozen=True)
 class Subspace:
     """A homogeneous subspace, stored as the reduced echelon rows of each
-    parity as sparse ``Coeffs``, pivot first; ``even_rows``, ``odd_rows`` and
-    ``rows`` are dense views.  Canonical form makes equality syntactic.
-    Membership reduces against a private echelon of the rows, built lazily."""
+    parity as sparse ``Coeffs``, pivot first; ``rows`` is their dense view.
+    Canonical form makes equality syntactic.  Membership reduces against a
+    private echelon of the rows, built lazily."""
 
     parent: LieSuperalgebra
     even: tuple[Coeffs, ...]
@@ -365,18 +366,16 @@ class Subspace:
         return SuperDim(len(self.even), len(self.odd))
 
     @property
-    def even_rows(self) -> tuple[Vec, ...]:
-        return tuple(linalg._dense(dict(r), self.parent.dim) for r in self.even)
-
-    @property
-    def odd_rows(self) -> tuple[Vec, ...]:
-        return tuple(linalg._dense(dict(r), self.parent.dim) for r in self.odd)
-
-    @property
     def rows(self) -> tuple[Vec, ...]:
-        return self.even_rows + self.odd_rows
+        """The canonical rows as dense vectors, even rows first.  Public API
+        by choice, with no library caller: the tests read a subspace's
+        elements through it."""
+        return tuple(linalg._dense(dict(r), self.parent.dim) for r in self.even + self.odd)
 
     def contains(self, v: Vec) -> bool:
+        """Whether a dense coordinate vector lies in the subspace.  Public
+        API by choice, with no library caller: the tests test membership
+        with it."""
         return self._echelon.contains(_row(self.parent, v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -428,17 +427,6 @@ class DefiningPair:
 # -- structural calculus -----------------------------------------------------
 
 
-def _bracket(L: LieSuperalgebra, x: linalg.Row, y: linalg.Row) -> linalg.Row:
-    """[x, y] for sparse x and y, as a sparse row that may hold zeros."""
-    out: linalg.Row = {}
-    for i, a in x.items():
-        for j, b in y.items():
-            ab = a * b
-            for k, c in L._table.get((i, j), {}).items():
-                out[k] = out.get(k, 0) + ab * c
-    return out
-
-
 def _act(terms) -> dict[int, linalg.Row]:
     """{t: [x, e_t]} for x = Σ c y over pairs (c, {t: [y, e_t]}) whose
     brackets are nonzero, with the zero brackets of x dropped: x is central
@@ -454,14 +442,15 @@ def _act(terms) -> dict[int, linalg.Row]:
     return {t: v for t, v in out.items() if v}
 
 
-def _action(L: LieSuperalgebra, w: Coeffs) -> dict[int, linalg.Row]:
-    """{t: [w, e_t]}, the nonzero brackets of w = Σ w_i e_i with the basis,
-    read off the stored table grouped once per algebra as
-    i -> {t: [e_i, e_t]}; the groups share the table's vectors, so they hold
-    no reference to L.  A central w costs O(nnz(w))."""
+def _action(L: LieSuperalgebra, w) -> dict[int, linalg.Row]:
+    """{t: D·[w, e_t]}, the nonzero brackets of w = Σ w_i e_i, given as
+    pairs (i, w_i), with the basis, read off the table D·c of ``_int_table``
+    grouped once per algebra as i -> {t: D·[e_i, e_t]}; the groups share the
+    table's rows, so they hold no reference to L.  A central w costs
+    O(nnz(w))."""
     def group():
         ad: dict[int, dict[int, linalg.Row]] = {}
-        for (i, t), vec in L._table.items():
+        for (i, t), vec in _int_table(L)[1].items():
             ad.setdefault(i, {})[t] = vec
         return ad
     ad = _memo(L, "_ad", group)
@@ -499,11 +488,11 @@ def bracket_subspaces(L: LieSuperalgebra, U: Subspace, W: Subspace) -> Subspace:
 
 def _memo(L: LieSuperalgebra, key: str, compute):
     """compute(), run at most once per algebra and kept in L's instance
-    dict, as ``cached_property`` keeps ``_table``.
+    dict.
 
     Keep only values that do not refer back to L: row tuples, SuperDims,
-    ints, frozen index sets, the invariant report, the grouping of L's own
-    table vectors, the integer columns of the basis adapted to L² (or
+    ints, frozen index sets, the invariant report, the integer bracket
+    table and its grouping by first index, the integer columns of the basis adapted to L² (or
     None), and algebras built from L's data, which keep L's labels but no
     reference to L: the conjugate A adapted to L² (or None), and the central
     quotient L/Z(L), built as A/Z(A) from A = ``_adapted(L) or L``.  A
@@ -554,8 +543,8 @@ def _ad_system(terms, modulo: linalg.Echelon) -> linalg.Echelon:
 def _ad_kernel(L: LieSuperalgebra, modulo: Subspace) -> Subspace:
     """{x : [x, e_t] in modulo for every basis vector e_t}, a homogeneous
     basis, for a homogeneous ``modulo``: the kernel of ``_ad_system`` on the
-    stored table ``L._table``, which maps (i, t) to the nonzero [e_i, e_t]."""
-    ech = _ad_system(((i, t, row) for (i, t), row in L._table.items()), modulo._echelon)
+    table of ``_int_table``, which maps (i, t) to the nonzero D·[e_i, e_t]."""
+    ech = _ad_system(((i, t, row) for (i, t), row in _int_table(L)[1].items()), modulo._echelon)
     kernel = ech.kernel_basis(range(L.dim))
     # The kernel basis is not canonical yet; its rref is.  This is the library's
     # one linalg.rref call, which bench/test_bench.py requires until the bench
@@ -601,6 +590,36 @@ def is_nilpotent(L: LieSuperalgebra) -> tuple[bool, int | None]:
     return _memo(L, "_nilpotency", compute)
 
 
+def _transport(L: LieSuperalgebra, pairs, cols, coords) -> dict[tuple, linalg.Row]:
+    """The nonzero constants [b_a, b_b], (a, b) in ``pairs`` (sorted by a),
+    on a new basis b_a = R_a / d_a, ``cols[a] = (R_a, d_a)``, R_a an integer
+    row.  Per column a, {t: D·[R_a, e_t]} is read once off ``_action``, kept
+    at the keys of ``coords``; v = Σ_j R_b[j]·D·[R_a, e_j] is summed in
+    integers and read as Σ_k v_k·coords[k] / (D·d_a·d_b), coords[k] being
+    e_k on the new basis, right on L² at least.  A central b_a costs nothing."""
+    D, _ = _int_table(L)
+    out, last, act = {}, None, {}
+    for a, b in pairs:
+        (ra, da), (rb, db) = cols[a], cols[b]
+        if a != last:
+            last, act = a, {t: kept for t, vec in _action(L, ra.items()).items()
+                            if (kept := {k: x for k, x in vec.items() if k in coords})}
+        if not act:
+            continue
+        v = {}
+        for j, y in rb.items():
+            for k, z in act.get(j, {}).items():
+                v[k] = v[k] + y * z if k in v else y * z
+        w = {}
+        for k, x in v.items():
+            for n, c in coords[k].items():
+                w[n] = w[n] + x * c if n in w else x * c
+        m = D * da * db
+        if row := {n: Fraction(x, m) for n, x in w.items() if x}:
+            out[a, b] = row
+    return out
+
+
 def quotient(L: LieSuperalgebra, I: Subspace) -> tuple[LieSuperalgebra, LinearMap]:
     """Algebra structure on L/I for an ideal I, plus the projection map.
 
@@ -616,8 +635,7 @@ def quotient(L: LieSuperalgebra, I: Subspace) -> tuple[LieSuperalgebra, LinearMa
     qparities = tuple(L.parities[c] for c in comp)
     coords = {k: {coset[c]: x for c, x in ech.reduce({k: 1}).items()} for k in range(L.dim)}
     proj_matrix = tuple(zip(*[linalg._dense(coords[k], len(comp)) for k in range(L.dim)]))
-    consts = linalg._transport(*_int_table(L), _free_pairs(qparities),
-                               [({c: 1}, 1) for c in comp], coords)
+    consts = _transport(L, _free_pairs(qparities), [({c: 1}, 1) for c in comp], coords)
     Q = validate(qparities, consts, name=f"{L.name}/I", labels=tuple(L.labels[c] for c in comp))
     return Q, LinearMap(proj_matrix)
 
@@ -670,8 +688,7 @@ def change_basis(L: LieSuperalgebra, P) -> LieSuperalgebra:
     if any(min(r) != (0, i) for i, r in enumerate(rows)):
         raise SingularMatrix("matrix is singular")
     inv_cols = {k: {i: r[1, k] for i, r in enumerate(rows) if (1, k) in r} for k in range(d)}
-    consts = linalg._transport(*_int_table(L), _free_pairs(L.parities),
-                               [(c, q) for c in cols], inv_cols)
+    consts = _transport(L, _free_pairs(L.parities), [(c, q) for c in cols], inv_cols)
     return validate(L.parities, consts, name=L.name, labels=L.labels)
 
 
@@ -699,7 +716,7 @@ def _adapted(L: LieSuperalgebra) -> LieSuperalgebra | None:
     """L's conjugate A in the basis of ``_adapted_columns``, or None when
     that is L's own; built at most once per algebra and kept on L.  Every
     bracket lies in L², whose rows are reduced, so its coordinate on r_p is
-    its entry at p: ``linalg._transport`` reads the pivot entries alone, in
+    its entry at p: ``_transport`` reads the pivot entries alone, in
     integers, with no inverse to apply."""
     def build():
         cols = _adapted_columns(L)
@@ -707,6 +724,6 @@ def _adapted(L: LieSuperalgebra) -> LieSuperalgebra | None:
             return None
         L2 = derived_subalgebra(L)
         coords = {r[0][0]: {r[0][0]: 1} for r in L2.even + L2.odd}
-        consts = linalg._transport(*_int_table(L), _free_pairs(L.parities), cols, coords)
+        consts = _transport(L, _free_pairs(L.parities), cols, coords)
         return validate(L.parities, consts, name=L.name, labels=L.labels)
     return _memo(L, "_adapted", build)

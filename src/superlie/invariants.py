@@ -72,8 +72,7 @@ def _report(L: LieSuperalgebra) -> InvariantReport:
     """Every field is a rank that does not depend on the basis.  sdim L²
     and sdim M are read on L (M counted on A by ``multiplier_sdim``);
     sdim Z and the class on A = ``core._adapted(L) or L``, whose table is
-    sparse where a dense L's is not, so L's Fraction ``_table`` is never
-    built."""
+    sparse where a dense L's is not, so no kernel is solved on L's table."""
     sdim_L = L.sdim
     sdim_L2 = core.derived_subalgebra(L).sdim
     sdim_Z = core.center(core._adapted(L) or L).sdim
@@ -98,11 +97,12 @@ def _report(L: LieSuperalgebra) -> InvariantReport:
 
 
 def _z2_action_table(L: LieSuperalgebra):
-    """(p, r_p, {t: [r_p, e_t]}) for each canonical row r_p of Z₂(L), p its
-    pivot, in pivot order (even rows first), with only the nonzero brackets
-    kept, read by ``core._action``.  The rows are the cached ``Coeffs`` of
-    Z₂, and a unit row shares the vectors of the stored table, so the table
-    holds no reference to L and copies little."""
+    """(p, r_p, {t: D·[r_p, e_t]}) for each canonical row r_p of Z₂(L), p
+    its pivot, in pivot order (even rows first), with only the nonzero
+    brackets kept, read by ``core._action``; the scale D of ``core._int_table``
+    changes no span.  The rows are the cached ``Coeffs`` of Z₂, and a unit
+    row shares the rows of the integer table, so the table holds no
+    reference to L and copies little."""
     Z2 = core.second_center(L)
     return tuple((r[0][0], r, core._action(L, r)) for r in Z2.even + Z2.odd)
 

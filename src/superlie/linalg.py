@@ -22,7 +22,8 @@ positions and back.
 ``rref``, ``rank``, ``nullspace`` and ``reduce_mod`` are thin wrappers over
 the kernel that take and return dense row vectors (tuples of Fraction), with
 columns labelled 0, 1, ....  There are no dense vector helpers: the library
-converts only at its public edge.
+converts only at its public edge.  Nothing here knows a bracket: the
+bracket table and every routine that reads it live in ``core``.
 """
 
 from __future__ import annotations
@@ -303,30 +304,6 @@ def _axpy(w: Row, a: Fraction, row: Row) -> None:
             w[c] = y
         else:
             del w[c]
-
-
-def _transport(D: int, table, pairs, cols, coords) -> dict[tuple, Row]:
-    """The nonzero constants [b_a, b_b], (a, b) in ``pairs``, on a new basis
-    b_a = R_a / d_a, ``cols[a] = (R_a, d_a)``, R_a an integer row: each is
-    summed in integers on the table D·c of ``core._int_table`` at the keys
-    of ``coords`` only, as v, and read as Σ_k v_k·coords[k] / (D·d_a·d_b),
-    coords[k] being e_k on the new basis, and right on L² at least."""
-    at = {key: {k: x for k, x in vec.items() if k in coords} for key, vec in table.items()}
-    out = {}
-    for a, b in pairs:
-        (ra, da), (rb, db), v = cols[a], cols[b], {}
-        for i, x in ra.items():
-            for j, y in rb.items():
-                for k, z in at.get((i, j), {}).items():
-                    v[k] = v[k] + x * y * z if k in v else x * y * z
-        w = {}
-        for k, x in v.items():
-            for n, c in coords[k].items():
-                w[n] = w[n] + x * c if n in w else x * c
-        m = D * da * db
-        if row := {n: Fraction(x, m) for n, x in w.items() if x}:
-            out[a, b] = row
-    return out
 
 
 def rref(rows) -> list[Vec]:

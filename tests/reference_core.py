@@ -53,7 +53,7 @@ from before it became the relabelled cover candidate of Ab(m,n); its
 ``quotient`` is the one here.
 ``bracket_subspaces`` is the pairwise body of ``superlie.core`` from
 before it read [L, X] off the stored bracket table: it brackets every pair
-of spanning rows through ``core._bracket``, and the ``derived_subalgebra``
+of spanning rows through ``sparse_bracket``, and the ``derived_subalgebra``
 here goes through it.  ``central_derived_cap`` is ``check_bounds``'s former
 sdim(L² ∩ Z), read off ``Subspace.intersection``, before it was counted
 from one echelon of L² and Z.
@@ -73,7 +73,15 @@ basis read off the last-pivot ``_cocycle_system``.
 the stored brackets in an echelon of its own and compares the rank with
 the size of their support.
 ``int_table`` is ``core._int_table`` from before it read the integer table
-off ``L.constants``: it scales the Fraction table ``L._table``.
+off ``L.constants``: it scales the Fraction table ``table``.
+``table`` is the former cached property ``LieSuperalgebra._table``, the
+Fraction bracket table, kept in L's instance dict under
+``_reference_table`` as ``cached_property`` kept it, and
+``sparse_bracket`` is the former ``core._bracket``, which read it; both
+were retired when ``core._int_table`` became the algebra's one bracket
+table.  ``even_rows`` and ``odd_rows`` are the former dense views
+``Subspace.even_rows`` and ``Subspace.odd_rows``, retired with no library
+caller.
 ``report``, ``check_bounds`` and ``central_quotient`` are the bodies of
 ``superlie.invariants`` from before they read sdim Z, sdim(L² ∩ Z) and
 L/Z(L) off the conjugate adapted to L²: they solve the center on L's own
@@ -105,7 +113,6 @@ from superlie.core import (
     LieSuperalgebra,
     LinearMap,
     Subspace,
-    _bracket,
     _derived_central,
     _free_pairs,
     _int_table,
@@ -158,11 +165,42 @@ class DenseSubspace:
     odd_rows: tuple[Vec, ...]
 
 
+def table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """Every nonzero [e_i, e_j], stored under both (i, j) and (j, i)."""
+    cache = vars(self)
+    if "_reference_table" not in cache:
+        table = {}
+        for (i, j), vec in self.constants:  # an odd [e_i, e_i] has s = 1, one key
+            _, s = _orient(self.parities, j, i)
+            table[i, j], table[j, i] = dict(vec), dict(vec) if s == 1 else {k: -c for k, c in vec}
+        cache["_reference_table"] = table
+    return cache["_reference_table"]
+
+
+def sparse_bracket(L: LieSuperalgebra, x: _linalg.Row, y: _linalg.Row) -> _linalg.Row:
+    """[x, y] for sparse x and y, as a sparse row that may hold zeros."""
+    out: _linalg.Row = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            ab = a * b
+            for k, c in table(L).get((i, j), {}).items():
+                out[k] = out.get(k, 0) + ab * c
+    return out
+
+
+def even_rows(S: Subspace) -> tuple[Vec, ...]:
+    return tuple(_linalg._dense(dict(r), S.parent.dim) for r in S.even)
+
+
+def odd_rows(S: Subspace) -> tuple[Vec, ...]:
+    return tuple(_linalg._dense(dict(r), S.parent.dim) for r in S.odd)
+
+
 def intersection(self, other):
     """Intersection, computed per parity from the coefficient kernel."""
     self._check_parent(other)
     out = []
-    for mine, theirs in ((self.even_rows, other.even_rows), (self.odd_rows, other.odd_rows)):
+    for mine, theirs in ((even_rows(self), even_rows(other)), (odd_rows(self), odd_rows(other))):
         if not mine or not theirs:
             continue
         residuals = [linalg.reduce_mod(r, theirs) for r in mine]
@@ -183,7 +221,7 @@ def bracket_subspaces(L: LieSuperalgebra, U: Subspace, W: Subspace) -> Subspace:
         if S.parent is not L and S.parent != L:
             raise ParentMismatch("subspace does not belong to the algebra")
     us, ws = [dict(u) for u in U.even + U.odd], [dict(w) for w in W.even + W.odd]
-    return Subspace._span_rows(L, (_bracket(L, u, w) for u in us for w in ws))
+    return Subspace._span_rows(L, (sparse_bracket(L, u, w) for u in us for w in ws))
 
 
 def central_derived_cap(L: LieSuperalgebra) -> SuperDim:
@@ -208,7 +246,7 @@ def second_center(L):
         cols = [i for i in range(L.dim) if L.parities[i] == par]
         if not cols:
             continue
-        target_rows = ZQ.even_rows if par == 0 else ZQ.odd_rows
+        target_rows = even_rows(ZQ) if par == 0 else odd_rows(ZQ)
         residuals = [linalg.reduce_mod(linalg.mat_vec(proj.matrix, L.basis_vector(i)), target_rows)
                      for i in cols]
         eqs = [tuple(res[k] for res in residuals) for k in range(Q.dim)]
@@ -243,7 +281,7 @@ def central_z2_samples(L, rng):
     Z = core.center(L)
     Z2 = core.second_center(L)
     out = []
-    for rows in (Z2.even_rows, Z2.odd_rows):
+    for rows in (even_rows(Z2), odd_rows(Z2)):
         rows = [r for r in rows if not Z.contains(r)]
         out.extend(rows)
         for _ in range(_Z2_MIXES):
@@ -379,8 +417,8 @@ def basis_bracket(self, i: int, j: int) -> dict[int, Fraction]:
     if i == j and self.parities[i] == 0:
         return {}
     if i <= j:
-        return self._table.get((i, j), {})
-    stored = self._table.get((j, i), {})
+        return table(self).get((i, j), {})
+    stored = table(self).get((j, i), {})
     s = -_sign(self.parities[i], self.parities[j])
     return {k: s * c for k, c in stored.items()}
 
@@ -438,7 +476,7 @@ def ad_kernel(L: LieSuperalgebra, targets: list[linalg.Row], modulo: Subspace) -
     eqs: dict[tuple[int, int], linalg.Row] = {}
     for i in range(L.dim):
         for t_idx, t in enumerate(targets):
-            for k, x in ech.reduce(_bracket(L, {i: 1}, t)).items():
+            for k, x in ech.reduce(sparse_bracket(L, {i: 1}, t)).items():
                 eqs.setdefault((t_idx, k), {})[i] = x
     kernel = linalg.Echelon(eqs.values()).kernel_basis(range(L.dim))
     # The kernel basis is not canonical yet; its rref is, with the even rows
@@ -463,7 +501,7 @@ def quotient(L: LieSuperalgebra, I: Subspace) -> tuple[LieSuperalgebra, LinearMa
     ech = I._echelon
     for r in ech.rows():
         for j in range(L.dim):
-            if ech.reduce(_bracket(L, {j: 1}, r)):
+            if ech.reduce(sparse_bracket(L, {j: 1}, r)):
                 raise NotAnIdeal("subspace is not an ideal")
     piv = set(linalg.pivots(I.rows))
     comp = [c for c in range(L.dim) if c not in piv]
@@ -587,10 +625,10 @@ def multiplier(L: LieSuperalgebra) -> MultiplierResult:
 
 
 def int_table(L: LieSuperalgebra):
-    """(D, D·``L._table``), D the lcm of the constants' denominators."""
+    """(D, D·``table(L)``), D the lcm of the constants' denominators."""
     D = linalg._lcm(c.denominator for _, vec in L.constants for _, c in vec)
     return D, {key: {k: c.numerator * (D // c.denominator) for k, c in vec.items()}
-               for key, vec in L._table.items()}
+               for key, vec in table(L).items()}
 
 
 def full_walk_cocycle_equations(L: LieSuperalgebra):

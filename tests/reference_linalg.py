@@ -4,13 +4,18 @@ the dense vector helpers ``zero_vec``, ``is_zero``, ``vec_add``,
 ``vec_scale`` and ``mat_vec`` that the library no longer has (``mat_vec``
 was ``linalg.mat_vec``, the body of ``LinearMap.__call__``), and its former
 ``invert`` (over the ``rref`` here), which ``core.change_basis`` replaced
-with its own elimination of [P | I].
+with its own elimination of [P | I], and ``transport``, the former
+``linalg._transport``, which multiplied every pair of new basis columns
+entry by entry on the integer table before ``core._transport`` read each
+column's action once.
 
 Tests compare the library's ``rref``, ``nullspace`` and ``reduce_mod``
 against these on random rational matrices, ``reference_core`` runs the
 earlier subspace calculus on them, tests apply a projection matrix with
 ``mat_vec``, and the base-change helpers redraw a singular P when
-``invert`` rejects it; nothing outside the tests imports this module.
+``invert`` rejects it; tests compare the constants of ``change_basis``,
+``quotient`` and ``core._adapted`` with ``transport``.  Nothing outside the
+tests imports this module.
 """
 
 from fractions import Fraction
@@ -113,3 +118,27 @@ def invert(rows) -> list[Vec]:
     if any(r[i] != 1 for i, r in enumerate(red)):
         raise ValueError("matrix is singular")
     return [tuple(r[n:]) for r in red]
+
+
+def transport(D: int, table, pairs, cols, coords) -> dict:
+    """The nonzero constants [b_a, b_b], (a, b) in ``pairs``, on a new basis
+    b_a = R_a / d_a, ``cols[a] = (R_a, d_a)``, R_a an integer row: each is
+    summed in integers on the table D·c of ``core._int_table`` at the keys
+    of ``coords`` only, as v, and read as Σ_k v_k·coords[k] / (D·d_a·d_b),
+    coords[k] being e_k on the new basis, and right on L² at least."""
+    at = {key: {k: x for k, x in vec.items() if k in coords} for key, vec in table.items()}
+    out = {}
+    for a, b in pairs:
+        (ra, da), (rb, db), v = cols[a], cols[b], {}
+        for i, x in ra.items():
+            for j, y in rb.items():
+                for k, z in at.get((i, j), {}).items():
+                    v[k] = v[k] + x * y * z if k in v else x * y * z
+        w = {}
+        for k, x in v.items():
+            for n, c in coords[k].items():
+                w[n] = w[n] + x * c if n in w else x * c
+        m = D * da * db
+        if row := {n: Fraction(x, m) for n, x in w.items() if x}:
+            out[a, b] = row
+    return out

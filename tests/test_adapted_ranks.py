@@ -7,7 +7,7 @@ not.  These tests check them against the bodies that solved the center on
 L's own table (``reference_core.report``, ``check_bounds`` and
 ``central_quotient``) on rational and unitriangular conjugates, most of
 which have such an A, and that on a dense conjugate the report solves no
-ad-map kernel on L and builds no Fraction table of L.  The class
+ad-map kernel on L and builds L's integer table at most once.  The class
 representatives ``multiplier`` builds with no checks pass the public
 ``Cochain2`` constructor's checks."""
 
@@ -17,6 +17,7 @@ import reference_core as reference
 import test_carried_cocycles
 import test_invariant_cache
 import test_jacobi_decision
+import test_one_table
 from superlie import core, invariants
 from superlie.cohomology import Cochain2, multiplier, multiplier_sdim
 from superlie.invariants import check_bounds, report
@@ -42,7 +43,9 @@ def test_ranks_on_the_conjugate_match_reference(L):
 @pytest.mark.parametrize("L", test_jacobi_decision.DENSE, ids=lambda L: f"{L.name}-{L.dim}")
 def test_report_solves_no_kernel_on_a_dense_table(monkeypatch, L):
     """``report`` and ``check_bounds`` solve the center once, on A, and
-    never build L's Fraction table ``_table``."""
+    build L's integer table ``core._int_table`` at most once, the Jacobi
+    check at construction included."""
+    builds = test_one_table._table_builds(monkeypatch)
     L = _fresh(L)
     solved, ad_kernel = [], core._ad_kernel
 
@@ -55,7 +58,7 @@ def test_report_solves_no_kernel_on_a_dense_table(monkeypatch, L):
     check_bounds(L)
     A = core._adapted(L)
     assert A is not None and solved == [A]
-    assert "_table" not in vars(L)
+    assert sum(K is L for K in builds) <= 1
 
 
 def test_representatives_pass_the_public_checks():

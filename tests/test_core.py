@@ -68,9 +68,13 @@ def test_validate_normalizes_coefficients():
 
 
 def _stores_fractions(L):
-    """Every coefficient of ``L.constants`` and of the bracket table is a Fraction."""
+    """Every coefficient of ``L.constants`` and of each ``basis_bracket`` is
+    a Fraction, and the integer table ``core._int_table`` holds ints."""
+    D, table = core._int_table(L)
     return (all(type(c) is Fraction for _, vec in L.constants for _, c in vec)
-            and all(type(c) is Fraction for vec in L._table.values() for c in vec.values()))
+            and all(type(c) is Fraction for i, j in table for c in L.basis_bracket(i, j).values())
+            and type(D) is int
+            and all(type(x) is int for vec in table.values() for x in vec.values()))
 
 
 @pytest.mark.parametrize("coef", [3, "3/2", F(3, 2), F(3)], ids=repr)

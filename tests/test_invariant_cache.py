@@ -56,7 +56,9 @@ def _fresh(L: LieSuperalgebra) -> LieSuperalgebra:
     """An equal-by-value copy of L with an empty cache.  The Jacobi check
     may fill L², the basis adapted to it and the conjugate in that basis at
     construction; all three are dropped, so that every value read from the
-    copy is computed afresh."""
+    copy is computed afresh.  The bracket table (``core._int_table``) and
+    its grouping, which the check may also build, are kept: they are read
+    off the constants alone."""
     K = LieSuperalgebra(L.parities, L.constants, L.name, L.labels)
     for key in ("_derived", "_adapted_columns", "_adapted"):
         vars(K).pop(key, None)
@@ -218,7 +220,7 @@ def _check_lambda_mu_matches_reference(L, seed=0):
     one outside Z₂, a non-homogeneous one and one of the wrong length."""
     rng = random.Random(seed)
     Z, Z2 = center(L), second_center(L)
-    for rows in (Z2.even_rows, Z2.odd_rows):
+    for rows in (reference.even_rows(Z2), reference.odd_rows(Z2)):
         rows = [r for r in rows if not Z.contains(r)]
         mixes = []
         for _ in range(3 if len(rows) >= 2 else 0):
@@ -326,11 +328,18 @@ def test_central_quotient_is_built_once():
 
 
 def test_paper_checks_build_one_quotient_per_algebra(monkeypatch):
+    """One quotient per ledger algebra, of L or of its kept conjugate A
+    (``core._adapted``).  The corpus never has an A, so the ledger's corpus
+    also gets fresh copies of the dense conjugates of
+    ``test_jacobi_decision``, which do."""
+    import test_jacobi_decision  # it imports this module
+
     algebras, quotients = [], []
     make_corpus, quotient = verification.corpus, core.quotient
+    extra = [_fresh(L) for L in test_jacobi_decision.DENSE]
 
     def recording_corpus(seed, size):
-        algebras.extend(make_corpus(seed, size))
+        algebras.extend(make_corpus(seed, size) + extra)
         return algebras
 
     def counting_quotient(L, I):
@@ -341,8 +350,10 @@ def test_paper_checks_build_one_quotient_per_algebra(monkeypatch):
     monkeypatch.setattr(core, "quotient", counting_quotient)
     results = verification.run_paper_checks(0, 40)
     assert all(r.passed for r in results.values())
-    per_algebra = [sum(Q is L for Q in quotients) for L in algebras]
+    per_algebra = [sum(Q is L or Q is vars(L).get("_adapted") for Q in quotients)
+                   for L in algebras]
     assert max(per_algebra) == 1 and sum(per_algebra) == len(algebras)
+    assert all(vars(L).get("_adapted") is not None for L in extra)
 
 
 def test_prop_3_1_fails_without_abelian_rows(monkeypatch):

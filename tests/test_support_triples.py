@@ -88,7 +88,7 @@ def _by_pair(L, parity, rows):
 
 @pytest.mark.parametrize("L", ALGEBRAS, ids=lambda L: f"{L.name}-{L.dim}")
 def test_support_triples_are_the_sorted_triples_touching_a_stored_key(L):
-    table = L._table
+    _, table = core._int_table(L)
     expected = [(i, j, k) for i, j, k in itertools.combinations_with_replacement(range(L.dim), 3)
                 if (i, j) in table or (j, k) in table or (i, k) in table]
     assert list(core._support_triples(L)) == expected
@@ -284,8 +284,16 @@ def test_brackets_cochain_pairs_and_values_match_reference(L):
 
 @pytest.mark.parametrize("L", ALGEBRAS, ids=lambda L: f"{L.name}-{L.dim}")
 def test_reversed_brackets_are_stored_not_copied(L):
+    """The integer table is built once, and a reversed key with sign +1
+    shares its row; with sign -1 it holds the negated row."""
+    _, table = core._int_table(L)
     for (i, j), _ in L.constants:
-        assert L.basis_bracket(j, i) is L.basis_bracket(j, i)
+        _, s = core._orient(L.parities, j, i)
+        if s == 1:
+            assert table[j, i] is table[i, j]
+        else:
+            assert table[j, i] == {k: -x for k, x in table[i, j].items()}
+    assert core._int_table(L) is core._int_table(L)
 
 
 def _perturb(rng, L, denominator=None, consts=None):
